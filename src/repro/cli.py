@@ -113,7 +113,6 @@ def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
         prune=args.prune,
         collapse=args.collapse,
         batch_size=args.batch_size,
-        delta_dataplane=args.delta_dataplane,
         locality_sort=args.locality_sort,
         chaos=chaos,
     )
@@ -674,15 +673,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="K",
         help="live faults simulated concurrently through one shared "
         "dispatch loop (default: 1, classic one-at-a-time execution)",
-    )
-    parser.add_argument(
-        "--delta-dataplane",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="store the reference as base+deltas and restore experiments "
-        "through an undo log of touched words (default: on; "
-        "--no-delta-dataplane pins the legacy full-copy plane, see "
-        "docs/performance.md)",
     )
     parser.add_argument(
         "--locality-sort",

@@ -24,7 +24,6 @@ campaign service (:mod:`repro.service`).
 from __future__ import annotations
 
 import os
-import pickle
 import signal
 import time
 from collections import deque
@@ -114,18 +113,12 @@ class CampaignConfig:
             cached clean-image prefixes; ``False`` rebuilds every digest
             from scratch.  All three flags exist for the
             golden-equivalence test and benchmark baselines.
-        delta_dataplane: store the reference as a base snapshot plus
-            per-iteration deltas and restore experiment state by
-            unwinding an undo log of the touched words (see
-            ``docs/performance.md``); ``False`` pins the legacy
-            full-copy snapshot/restore plane.  Outcome-invariant, gated
-            by the golden-equivalence suite.
         locality_sort: execute live faults in injection-time order so
-            consecutive experiments restore to nearby boundaries (the
-            delta cursor's cheap path), and size parallel chunks
-            adaptively from measured worker throughput.  Results are
-            still streamed, stored and reported in plan order;
-            outcome-invariant like the other scheduling flags.
+            consecutive experiments restore to nearby boundaries, and
+            size parallel chunks adaptively from measured worker
+            throughput.  Results are still streamed, stored and
+            reported in plan order; outcome-invariant like the other
+            scheduling flags.
         environment_factory: builds the environment simulator.
         recovery: retry/backoff/quarantine policy of the crash-safety
             machinery (``docs/robustness.md``); never affects outcomes,
@@ -148,7 +141,6 @@ class CampaignConfig:
     share_reference: bool = True
     fast_dispatch: bool = True
     incremental_hash: bool = True
-    delta_dataplane: bool = True
     locality_sort: bool = True
     environment_factory: Callable[[], EngineEnvironment] = EngineEnvironment
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
@@ -285,17 +277,6 @@ def _run_chunk(args):
                         )
                         events.flush()
                 results.append((index, run, outcome))
-        if events is not None:
-            # Delta-restore counters accumulated over this chunk.  These
-            # are schedule-dependent (they vary with chunk composition),
-            # so they travel as shard events, never through the metrics
-            # registry whose serial/parallel equality is a tested
-            # invariant.
-            stats = target.take_dataplane_stats()
-            if stats is not None:
-                events.emit(
-                    "dataplane_stats", ts=now(), worker=submission_id, **stats
-                )
     finally:
         target.metrics = None
         target.batch_size = previous_batch
@@ -329,7 +310,6 @@ class ScifiCampaign:
             incremental_hash=config.incremental_hash,
             batch_size=config.batch_size,
             environment_factory=config.environment_factory,
-            delta_dataplane=config.delta_dataplane,
         )
         # Streaming-persistence state of the in-flight run, used by the
         # abort path to flush and mark the campaign resumable.
@@ -582,13 +562,6 @@ class ScifiCampaign:
                 if telemetry is not None and telemetry.metrics is not None:
                     telemetry.metrics.gauge("reference_instructions").set(
                         reference.total_instructions
-                    )
-                    # What one worker initialisation would ship.  Set in
-                    # _run_phases (not the worker fan-out) so serial and
-                    # parallel registries stay identical — a tested
-                    # invariant.
-                    telemetry.metrics.gauge("reference_payload_bytes").set(
-                        len(pickle.dumps(reference))
                     )
             with span("set_up"):
                 space = self.location_space()
@@ -886,11 +859,11 @@ class ScifiCampaign:
         if live_plan and (self.config.batch_size > 1 or self.config.locality_sort):
             # Pre-simulation: live faults run ahead of the plan loop —
             # in injection-time order when locality sorting is on (so
-            # consecutive experiments restore to nearby boundaries, the
-            # delta cursor's cheap path), and in groups through the
-            # shared dispatch loop when batching is on.  The plan loop
-            # below then streams and reports the stored pairs in plan
-            # order, exactly as the one-at-a-time path would have.
+            # consecutive experiments restore to nearby boundaries), and
+            # in groups through the shared dispatch loop when batching
+            # is on.  The plan loop below then streams and reports the
+            # stored pairs in plan order, exactly as the one-at-a-time
+            # path would have.
             pending = [(i, f) for i, f in live_plan if i not in by_index]
             if self.config.locality_sort:
                 pending.sort(key=lambda item: item[1].time)
@@ -958,9 +931,6 @@ class ScifiCampaign:
         if sink is not None:
             sink.flush()
         if telemetry is not None:
-            stats = self.target.take_dataplane_stats()
-            if stats is not None:
-                telemetry.emit("dataplane_stats", ts=now(), worker=0, **stats)
             telemetry.checkpoint()
         experiments = [by_index[i][0] for i in range(len(plan))]
         outcomes = [by_index[i][1] for i in range(len(plan))]
@@ -1091,7 +1061,6 @@ class ScifiCampaign:
             reference=(self.target.reference if config.share_reference else None),
             fast_dispatch=config.fast_dispatch,
             incremental_hash=config.incremental_hash,
-            delta_dataplane=config.delta_dataplane,
         )
         own_pool = pool is None
         if pool is None:
@@ -1149,15 +1118,14 @@ class ScifiCampaign:
         if config.locality_sort:
             # Locality-aware scheduling: the live plan is executed in
             # injection-time order (consecutive experiments restore to
-            # nearby boundaries, the delta cursor's cheap path) and cut
-            # into contiguous chunks drawn on demand, sized so one chunk
-            # costs about ``target_chunk_seconds`` at the measured
-            # throughput — small chunks near the end keep the straggler
-            # tail short.  Chunks enter the queue as they are drawn (a
-            # targeted lease keeps an older requeued job from being
-            # claimed in their place).  Plan order is restored when
-            # results arrive, so outcomes, storage and merged telemetry
-            # are unchanged.
+            # nearby boundaries) and cut into contiguous chunks drawn on
+            # demand, sized so one chunk costs about
+            # ``target_chunk_seconds`` at the measured throughput — small
+            # chunks near the end keep the straggler tail short.  Chunks
+            # enter the queue as they are drawn (a targeted lease keeps
+            # an older requeued job from being claimed in their place).
+            # Plan order is restored when results arrive, so outcomes,
+            # storage and merged telemetry are unchanged.
             reservoir.extend(sorted(live_plan, key=lambda item: item[1].time))
             chunk_size = max(
                 policy.min_chunk_size,
@@ -1524,12 +1492,6 @@ class ScifiCampaign:
 
         self._merge_worker_shards(telemetry, shards)
         work.close()
-        if telemetry is not None:
-            # Restores the *parent* target performed (the serial
-            # fallback); zero in a healthy parallel run.
-            stats = self.target.take_dataplane_stats()
-            if stats is not None and any(stats.values()):
-                emit("dataplane_stats", ts=now(), worker=0, **stats)
         experiments = []
         outcomes = []
         for index in range(total):

@@ -132,9 +132,8 @@ def trace_propagation(
     if reference is None:
         raise CampaignError("run_reference() must come first")
     start_iteration = reference.locate(fault.time)
-    # The scratch golden twin needs a full checkpoint image; the primary
-    # (faulted) machine seats through the target's data plane, which
-    # costs O(touched state) between consecutive replays.
+    # Both machines restore the same checkpoint; the primary (faulted)
+    # machine goes through the target, which skips unchanged RAM regions.
     snapshot = reference.snapshots[start_iteration]
 
     faulted = target.cpu

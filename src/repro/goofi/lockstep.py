@@ -78,8 +78,8 @@ class LockstepTarget:
         if reference is None:
             raise CampaignError("run_reference() must come first")
         start_iteration = reference.locate(fault.time)
-        # The slave needs a full checkpoint image; the master seats
-        # through the inner target's data plane (O(touched) restores).
+        # Both machines restore the same checkpoint; the master goes
+        # through the inner target, which skips unchanged RAM regions.
         snapshot = reference.snapshots[start_iteration]
         master = self.inner.cpu
         env = self.inner.environment

@@ -6,8 +6,9 @@ redundancy, since the reference is deterministic and identical across
 workers.  :class:`ReferencePool` instead computes the
 :class:`~repro.goofi.target.ReferenceRun` once in the parent and ships
 its snapshots/hashes/outputs to each worker process through the executor
-*initializer*, so the payload is pickled once per process rather than
-once per task.  The pool is deliberately long-lived: the SCIFI
+*initializer*, once per process rather than once per task.  Under the
+default ``fork`` start method the workers inherit the payload and never
+pickle it.  The pool is deliberately long-lived: the SCIFI
 injection phase, a pruning-validation re-run and a pre-runtime SWIFI
 phase can all reuse the same warm workers, as long as their payloads are
 compatible (:meth:`ReferencePool.prepare` re-initialises the pool only
@@ -43,11 +44,6 @@ class WorkerPayload:
     reference: Optional[ReferenceRun]
     fast_dispatch: bool = True
     incremental_hash: bool = True
-    #: Selects the worker target's snapshot/restore data plane (delta
-    #: checkpoints + undo-log cursors vs legacy full copies).  Shipped
-    #: explicitly so a golden-equivalence validation comparing the two
-    #: planes never reuses the other leg's warm workers.
-    delta_dataplane: bool = True
 
 
 #: Per-process state, populated by :func:`_initialize_worker`.
@@ -73,7 +69,6 @@ def _initialize_worker(payload: WorkerPayload) -> None:
         fast_dispatch=payload.fast_dispatch,
         incremental_hash=payload.incremental_hash,
         environment_factory=payload.environment_factory,
-        delta_dataplane=payload.delta_dataplane,
     )
     if payload.reference is None:
         target.run_reference()
@@ -189,8 +184,6 @@ class ReferencePool:
             return "fast_dispatch"
         if current.incremental_hash != payload.incremental_hash:
             return "incremental_hash"
-        if current.delta_dataplane != payload.delta_dataplane:
-            return "delta_dataplane"
         if not _references_equivalent(current.reference, payload.reference):
             return "reference"
         return None

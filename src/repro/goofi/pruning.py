@@ -50,7 +50,6 @@ from repro.analysis.report import render_outcome_table
 from repro.errors import CampaignError
 from repro.faults.liveness import Liveness, LivenessMap
 from repro.faults.models import FaultDescriptor
-from repro.goofi.dataplane import SplicedOutputs
 from repro.goofi.target import ExperimentRun, ReferenceRun
 
 
@@ -118,10 +117,8 @@ def synthesize_run(
         raise CampaignError("live faults must be simulated, not synthesised")
     return ExperimentRun(
         fault=fault,
-        # A view over the (immutable) golden outputs: predicted runs
-        # deliver the reference trace verbatim, so there is nothing to
-        # copy — pickling flattens the view for worker transport.
-        outputs=SplicedOutputs(reference.outputs, len(reference.outputs)),
+        # Predicted runs deliver the reference trace verbatim.
+        outputs=list(reference.outputs),
         final_state_differs=classification is Liveness.LATENT,
         predicted=True,
     )
@@ -238,10 +235,7 @@ def replay_equivalent(
         )
     return ExperimentRun(
         fault=fault,
-        # Shares the representative's outputs by view, not by copy.
-        outputs=SplicedOutputs(
-            representative.outputs, len(representative.outputs)
-        ),
+        outputs=list(representative.outputs),
         detection=representative.detection,
         detected_iteration=representative.detected_iteration,
         final_state_differs=representative.final_state_differs,

@@ -30,12 +30,6 @@ from typing import Callable, Dict, List, Optional
 from repro.errors import CampaignError
 from repro.faults.liveness import AccessRecorder, LivenessMap
 from repro.faults.models import FaultDescriptor
-from repro.goofi.dataplane import (
-    CheckpointStore,
-    DeltaRecorder,
-    MachineCursor,
-    SplicedOutputs,
-)
 from repro.goofi.environment import EngineEnvironment
 from repro.tcc.codegen import CompiledProgram
 from repro.obs.metrics import DETECTION_LATENCY_BUCKETS, INSTRUCTIONS_BUCKETS
@@ -98,6 +92,14 @@ def _hash_state_fresh(cpu: CPU, environment: EngineEnvironment) -> bytes:
     return digest.digest()
 
 
+def _seat(
+    cpu: CPU, environment: EngineEnvironment, snapshot: Dict[str, object]
+) -> None:
+    """Put one machine (the primary or a batch lane) at a checkpoint."""
+    cpu.restore(snapshot["cpu"])  # type: ignore[arg-type]
+    environment.restore(snapshot["env"])  # type: ignore[arg-type]
+
+
 @dataclass
 class ReferenceRun:
     """The golden execution of the workload.
@@ -107,12 +109,9 @@ class ReferenceRun:
         hashes: full-state hash at every iteration boundary
             (``hashes[k]`` is the state before iteration ``k`` executes;
             there are ``iterations + 1`` entries).
-        snapshots: restorable state per boundary (same indexing).  With
-            the delta data plane this is a
-            :class:`~repro.goofi.dataplane.CheckpointStore` — one base
-            snapshot plus per-boundary deltas — that still answers
-            ``snapshots[k]``/``len(snapshots)`` with legacy full
-            snapshot dicts; otherwise a plain list of them.
+        snapshots: one full restorable snapshot per boundary (same
+            indexing).  Consecutive snapshots share the ``bytes`` images
+            of RAM regions that did not change between them.
         instructions_at: dynamic instruction count at each boundary.
         total_instructions: instruction count of the whole run.
         max_iteration_instructions: the longest iteration, used to size
@@ -121,7 +120,7 @@ class ReferenceRun:
 
     outputs: List[float]
     hashes: List[bytes]
-    snapshots: "List[Dict[str, object]] | CheckpointStore"
+    snapshots: List[Dict[str, object]]
     instructions_at: List[int]
     total_instructions: int
     max_iteration_instructions: int
@@ -203,9 +202,6 @@ class _Lane:
     cpu: CPU
     environment: EngineEnvironment
     scan_chain: ScanChain
-    #: Delta-data-plane seat cursor; ``None`` when the lane's owner runs
-    #: the full-copy path.
-    cursor: Optional[MachineCursor] = None
 
 
 class TargetSystem:
@@ -223,7 +219,6 @@ class TargetSystem:
         incremental_hash: bool = True,
         batch_size: int = 1,
         environment_factory: Optional[Callable[[], EngineEnvironment]] = None,
-        delta_dataplane: bool = True,
     ):
         if iterations <= 0:
             raise CampaignError("iterations must be positive")
@@ -253,17 +248,6 @@ class TargetSystem:
             _hash_state if incremental_hash else _hash_state_fresh
         )
         self.scan_chain = ScanChain(self.cpu)
-        #: ``False`` pins this target to the classic full-copy
-        #: snapshot/restore data plane (the golden-equivalence
-        #: baseline); ``True`` stores the reference as base + deltas and
-        #: seats experiments through an undo-log cursor.  Outcome
-        #: invariant by construction.
-        self.delta_dataplane = bool(delta_dataplane)
-        self._cursor: Optional[MachineCursor] = (
-            MachineCursor(self.cpu, self.environment)
-            if self.delta_dataplane
-            else None
-        )
         self.reference: Optional[ReferenceRun] = None
         #: Def/use liveness of the reference run, populated by
         #: :meth:`run_reference` with ``record_access=True`` (used by the
@@ -344,18 +328,9 @@ class TargetSystem:
             cpu.cache.recorder = recorder
             cpu.memory.recorder = recorder
 
-        if self._cursor is not None:
-            # load() replaced the memory map; any armed undo log died
-            # with it, and the new reference invalidates the rest.
-            self._cursor.invalidate()
         outputs: List[float] = []
         hashes: List[bytes] = [self.boundary_hash()]
-        delta_recorder: Optional[DeltaRecorder] = (
-            DeltaRecorder(cpu, env) if self.delta_dataplane else None
-        )
-        snapshots: List[Dict[str, object]] = (
-            [] if delta_recorder is not None else [self._snapshot()]
-        )
+        snapshots: List[Dict[str, object]] = [self._snapshot()]
         instructions_at: List[int] = [0]
         max_iteration = 0
         # Generous budget for the golden run; it must always yield.
@@ -373,10 +348,7 @@ class TargetSystem:
                 max_iteration = max(max_iteration, iteration_cost)
                 outputs.append(env.exchange(cpu.memory.mmio))
                 hashes.append(self.boundary_hash())
-                if delta_recorder is not None:
-                    delta_recorder.record()
-                else:
-                    snapshots.append(self._snapshot())
+                snapshots.append(self._snapshot())
                 instructions_at.append(cpu.instruction_index)
         finally:
             cpu.recorder = None
@@ -389,9 +361,7 @@ class TargetSystem:
         self.reference = ReferenceRun(
             outputs=outputs,
             hashes=hashes,
-            snapshots=(
-                delta_recorder.finish() if delta_recorder is not None else snapshots
-            ),
+            snapshots=snapshots,
             instructions_at=instructions_at,
             total_instructions=cpu.instruction_index,
             max_iteration_instructions=max_iteration,
@@ -405,66 +375,20 @@ class TargetSystem:
         }
 
     def _restore(self, snapshot: Dict[str, object]) -> None:
-        self.cpu.restore(snapshot["cpu"])  # type: ignore[arg-type]
-        self.environment.restore(snapshot["env"])  # type: ignore[arg-type]
+        _seat(self.cpu, self.environment, snapshot)
 
     def restore_boundary(self, boundary: int) -> None:
         """Seat the primary machine at reference boundary ``boundary``.
 
         The supported entry point for snapshot consumers (detail replay,
-        lockstep, memory-fault experiments): with the delta data plane
-        it costs O(touched state) between consecutive calls, without it
-        a legacy full restore.
+        lockstep, memory-fault experiments).  It is a full restore of
+        the boundary's snapshot, in which RAM regions left unchanged
+        since the previous restore are skipped.
         """
         reference = self.reference
         if reference is None:
             raise CampaignError("run_reference() must come first")
-        self._seat(self._cursor, self.cpu, self.environment, reference, boundary)
-
-    def _seat(
-        self,
-        cursor: Optional[MachineCursor],
-        cpu: CPU,
-        environment: EngineEnvironment,
-        reference: ReferenceRun,
-        boundary: int,
-    ) -> None:
-        """Put one machine at a reference boundary.
-
-        Seat costs accumulate on the cursor (drained by
-        :meth:`take_dataplane_stats`) rather than in the metrics
-        registry: they depend on the visit schedule, and worker-merged
-        registries must stay equal to a serial run's.
-        """
-        if cursor is None:
-            snapshot = reference.snapshots[boundary]
-            cpu.restore(snapshot["cpu"])  # type: ignore[arg-type]
-            environment.restore(snapshot["env"])  # type: ignore[arg-type]
-            return
-        cursor.begin(reference, boundary)
-
-    def take_dataplane_stats(self) -> Optional[Dict[str, int]]:
-        """Drain the accumulated seat-cost counters of every cursor
-        (primary machine + batch lanes); ``None`` when the delta data
-        plane is off."""
-        if not self.delta_dataplane:
-            return None
-        cursors = [self._cursor] + [
-            lane.cursor for lane in self._lane_pool if lane.cursor is not None
-        ]
-        touched = replayed = full = 0
-        for cursor in cursors:
-            if cursor is None:
-                continue
-            t, r, f = cursor.take_stats()
-            touched += t
-            replayed += r
-            full += f
-        return {
-            "restore_words_touched": touched,
-            "delta_replay_iterations": replayed,
-            "full_restores": full,
-        }
+        self._restore(reference.snapshots[boundary])
 
     # -- one experiment -----------------------------------------------------------
     def run_experiment(
@@ -500,7 +424,7 @@ class TargetSystem:
         start_iteration = reference.locate(fault.time)
         cpu = self.cpu
         env = self.environment
-        self._seat(self._cursor, cpu, env, reference, start_iteration)
+        self._restore(reference.snapshots[start_iteration])
 
         # Replay the fault-free prefix of the injection iteration.
         replay = fault.time - reference.instructions_at[start_iteration]
@@ -516,12 +440,7 @@ class TargetSystem:
         for target in fault.targets:
             self.scan_chain.flip(target)
 
-        outputs: List[float] = (
-            SplicedOutputs(reference.outputs, start_iteration)
-            if self.delta_dataplane
-            else list(reference.outputs[:start_iteration])
-        )
-        spliced = self.delta_dataplane
+        outputs: List[float] = reference.outputs[:start_iteration]
         watchdog = int(
             reference.max_iteration_instructions * self.watchdog_factor
         ) + 500
@@ -546,10 +465,7 @@ class TargetSystem:
                 return run
             outputs.append(env.exchange(cpu.memory.mmio))
             if early_exit and self.boundary_hash() == reference.hashes[k + 1]:
-                if spliced:
-                    outputs.splice_tail(k + 1)
-                else:
-                    outputs.extend(reference.outputs[k + 1 :])
+                outputs.extend(reference.outputs[k + 1 :])
                 run.early_exit_iteration = k + 1
                 run.final_state_differs = False
                 return run
@@ -591,9 +507,6 @@ class TargetSystem:
                     cpu=cpu,
                     environment=env,
                     scan_chain=ScanChain(cpu),
-                    cursor=(
-                        MachineCursor(cpu, env) if self.delta_dataplane else None
-                    ),
                 )
             )
         return self._lane_pool[:count]
@@ -639,14 +552,10 @@ class TargetSystem:
         # time so the lanes share the dispatch loop's warm state.
         active: List[List[object]] = []
 
-        spliced = self.delta_dataplane
-
         def _start(lane: _Lane, index: int) -> List[object]:
             fault = faults[index]
             start_iteration = reference.locate(fault.time)
-            self._seat(
-                lane.cursor, lane.cpu, lane.environment, reference, start_iteration
-            )
+            _seat(lane.cpu, lane.environment, reference.snapshots[start_iteration])
             replay = fault.time - reference.instructions_at[start_iteration]
             if replay:
                 result = engine.run(lane.cpu, replay)
@@ -656,11 +565,7 @@ class TargetSystem:
                     )
             for target in fault.targets:
                 lane.scan_chain.flip(target)
-            outputs: List[float] = (
-                SplicedOutputs(reference.outputs, start_iteration)
-                if spliced
-                else list(reference.outputs[:start_iteration])
-            )
+            outputs: List[float] = reference.outputs[:start_iteration]
             run = ExperimentRun(fault=fault, outputs=outputs)
             return [lane, index, run, outputs, start_iteration]
 
@@ -695,10 +600,7 @@ class TargetSystem:
                         early_exit
                         and hash_state(cpu, env) == reference.hashes[k + 1]
                     ):
-                        if spliced:
-                            outputs.splice_tail(k + 1)
-                        else:
-                            outputs.extend(reference.outputs[k + 1 :])
+                        outputs.extend(reference.outputs[k + 1 :])
                         run.early_exit_iteration = k + 1
                         run.final_state_differs = False
                         done = True

@@ -51,15 +51,18 @@ in-process pool and the campaign service, see
   (``job``, ``state`` of ``requeued``/``split``/``exhausted``,
   ``attempt``, ``experiments``).
 
-Data-plane diagnostics (``docs/performance.md``) are schedule-dependent
-and therefore live in the event stream, never in the metrics registry
-(whose serial/parallel equality is a tested invariant):
+Scheduler diagnostics are schedule-dependent and therefore live in the
+event stream, never in the metrics registry (whose serial/parallel
+equality is a tested invariant):
 
-* ``dataplane_stats`` — delta-restore counters drained from one
-  execution loop (``worker``, ``restore_words_touched``,
-  ``delta_replay_iterations``, ``full_restores``);
 * ``chunk_resized`` — the locality-aware scheduler adapted its chunk
   size to the measured worker throughput (``size``, ``rate``).
+
+Retired types are still accepted on read, so older logs stay readable,
+but nothing emits them any more:
+
+* ``dataplane_stats`` — restore counters of the former delta data plane;
+  the reducers ignore them.
 
 Worker processes never share a file descriptor: each worker writes its
 own ``<path>.shard<N>`` file, and the parent merges the shards back into
@@ -78,7 +81,8 @@ from repro.errors import ObservabilityError
 #: Version stamped into (and required of) every event record.
 SCHEMA_VERSION = 1
 
-#: The event types a campaign emits.
+#: The event types a campaign emits, plus retired ones that older logs
+#: may still contain (``dataplane_stats``).
 EVENT_TYPES = (
     "campaign_started",
     "experiment_finished",

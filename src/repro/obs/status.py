@@ -117,10 +117,6 @@ class CampaignStatus:
     quarantined: int = 0
     pool_rebuilds: int = 0
     serial_fallbacks: int = 0
-    restore_words_touched: int = 0
-    delta_replay_iterations: int = 0
-    full_restores: int = 0
-    dataplane_reports: int = 0
     chunks_resized: int = 0
     leases_granted: int = 0
     stale_leases: int = 0
@@ -160,11 +156,7 @@ class CampaignStatus:
                 "pool_rebuilds": self.pool_rebuilds,
                 "serial_fallbacks": self.serial_fallbacks,
             },
-            "dataplane": {
-                "restore_words_touched": self.restore_words_touched,
-                "delta_replay_iterations": self.delta_replay_iterations,
-                "full_restores": self.full_restores,
-                "reports": self.dataplane_reports,
+            "scheduler": {
                 "chunks_resized": self.chunks_resized,
             },
             "queue": {
@@ -223,10 +215,6 @@ class CampaignStatusReducer:
         self._resumed_offset = 0
         self._workers: Dict[int, _WorkerState] = {}
         self._chunk_submissions: set = set()
-        # Shard-then-merge replays ``dataplane_stats`` records; key them
-        # so the summed counters stay exact (same idempotence rule as
-        # experiments and heartbeats above).
-        self._seen_dataplane: set = set()
         # Lease events are keyed too: a service campaign's log survives
         # worker crashes and repairs, so the same grant/expiry may be
         # folded more than once.
@@ -299,19 +287,6 @@ class CampaignStatusReducer:
             status.pool_rebuilds += 1
         elif kind == "serial_fallback":
             status.serial_fallbacks += 1
-        elif kind == "dataplane_stats":
-            key = (record.get("worker"), record.get("ts"))
-            if key in self._seen_dataplane:
-                return
-            self._seen_dataplane.add(key)
-            status.dataplane_reports += 1
-            status.restore_words_touched += int(
-                record.get("restore_words_touched", 0)
-            )
-            status.delta_replay_iterations += int(
-                record.get("delta_replay_iterations", 0)
-            )
-            status.full_restores += int(record.get("full_restores", 0))
         elif kind == "chunk_resized":
             status.chunks_resized += 1
         elif kind == "lease_granted":
@@ -494,15 +469,8 @@ def render_status(status: CampaignStatus) -> str:
         queue.append(f"{status.jobs_exhausted} jobs exhausted")
     if queue:
         lines.append(f"  queue       {', '.join(queue)}")
-    if status.dataplane_reports or status.chunks_resized:
-        plane = (
-            f"{status.restore_words_touched} words touched,"
-            f" {status.delta_replay_iterations} delta replays,"
-            f" {status.full_restores} full restores"
-        )
-        if status.chunks_resized:
-            plane += f", {status.chunks_resized} chunk resizes"
-        lines.append(f"  data plane  {plane}")
+    if status.chunks_resized:
+        lines.append(f"  scheduler   {status.chunks_resized} chunk resizes")
     if status.state == "aborted":
         manifest = status.manifest or {}
         campaign_id = manifest.get("campaign_id")

@@ -40,13 +40,6 @@ class EventSummary:
     serial_fallbacks: int = 0
     resumed_experiments: int = 0
     aborted: bool = False
-    #: Delta data-plane counters summed over every ``dataplane_stats``
-    #: event (serial loop plus worker chunks); zero when the campaign
-    #: ran with the legacy full-copy plane.
-    restore_words_touched: int = 0
-    delta_replay_iterations: int = 0
-    full_restores: int = 0
-    dataplane_reports: int = 0
     #: Locality-scheduler chunk-size adaptations.
     chunks_resized: int = 0
 
@@ -102,15 +95,6 @@ def summarize_events(events: Sequence[Dict[str, object]]) -> EventSummary:
             summary.resumed_experiments += int(record.get("completed", 0))
         elif kind == "campaign_aborted":
             summary.aborted = True
-        elif kind == "dataplane_stats":
-            summary.dataplane_reports += 1
-            summary.restore_words_touched += int(
-                record.get("restore_words_touched", 0)
-            )
-            summary.delta_replay_iterations += int(
-                record.get("delta_replay_iterations", 0)
-            )
-            summary.full_restores += int(record.get("full_restores", 0))
         elif kind == "chunk_resized":
             summary.chunks_resized += 1
     return summary
@@ -225,22 +209,12 @@ def render_events_summary(events: Sequence[Dict[str, object]]) -> str:
         if summary.aborted:
             lines.append("  campaign aborted (resumable)")
 
-    if summary.dataplane_reports or summary.chunks_resized:
+    if summary.chunks_resized:
         lines.append("")
-        lines.append("Data plane")
+        lines.append("Scheduler")
         lines.append(
-            f"  restore words touched          {summary.restore_words_touched:>8d}"
+            f"  chunk resizes                  {summary.chunks_resized:>8d}"
         )
-        lines.append(
-            f"  delta replay iterations        {summary.delta_replay_iterations:>8d}"
-        )
-        lines.append(
-            f"  full restores                  {summary.full_restores:>8d}"
-        )
-        if summary.chunks_resized:
-            lines.append(
-                f"  scheduler chunk resizes        {summary.chunks_resized:>8d}"
-            )
 
     if summary.mechanism_counts:
         lines.append("")

@@ -1760,9 +1760,6 @@ def _batch_miss_read(cache, memory, address: int, line: int, tag: int) -> int:
         else:
             i = (victim - ram.base) >> 2
             value = cache.data[line] & _U32
-            undo = ram.undo
-            if undo is not None and i not in undo:
-                undo[i] = (ram.words[i], ram.parity[i])
             ram.words[i] = value
             ram.parity[i] = _parity(value)
             ram.version += 1
@@ -1808,9 +1805,6 @@ def _batch_miss_write(
         else:
             i = (victim - ram.base) >> 2
             old = cache.data[line] & _U32
-            undo = ram.undo
-            if undo is not None and i not in undo:
-                undo[i] = (ram.words[i], ram.parity[i])
             ram.words[i] = old
             ram.parity[i] = _parity(old)
             ram.version += 1

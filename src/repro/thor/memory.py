@@ -23,13 +23,15 @@ Dirty tracking
 --------------
 
 Each RAM region carries a :attr:`_Ram.version` counter, bumped by every
-mutation (write, restore, parity-preserving corruption).  The packed
-byte image used for run-state hashing is cached per version, so a
-boundary hash repacks only the regions that changed since the previous
-boundary — code and rodata almost never do.  Snapshots reuse the same
-packed images: they are immutable ``bytes``, so the 651 reference
-checkpoints share storage and pickle compactly for shipping to campaign
-workers.
+mutation (checked write, cache write-back, poke, bit corruption,
+restore).  The packed byte image used for run-state hashing is cached
+per version, so a boundary hash repacks only the regions that changed
+since the previous boundary — code and rodata almost never do.
+Snapshots reuse the same packed images: they are immutable ``bytes``,
+so the 651 reference checkpoints share storage.  The same cache makes
+restores cheap: a region whose cached image is current and equal to the
+snapshot is skipped, so an experiment that never touched code or rodata
+keeps the predecoded fetch cache and the code+rodata hash prefix.
 """
 
 from __future__ import annotations
@@ -119,17 +121,10 @@ class _Ram:
         self.limit = base + count * WORD
         self.words: List[int] = [0] * count
         self.parity: List[int] = [0] * count
-        #: Mutation counter consumed by the packed-image cache.
+        #: Mutation counter consumed by the packed-image cache.  Every
+        #: mutation path bumps it, which is what lets :meth:`restore`
+        #: skip a region whose packed image is still current.
         self.version = 0
-        #: Optional undo log: ``{index: (old_word, old_parity)}`` armed
-        #: by the delta data plane (:mod:`repro.goofi.dataplane`) before
-        #: a faulty execution.  Every first mutation of a word records
-        #: its prior value, so the experiment can be unwound by writing
-        #: back only the touched set instead of unpacking the full
-        #: region.  A wholesale :meth:`restore` sets it back to ``None``
-        #: — the poison signal that tells a cursor its log no longer
-        #: describes the live state.
-        self.undo: "Dict[int, Tuple[int, int]] | None" = None
         self._struct = struct.Struct(f"<{count}I")
         self._packed: Tuple[int, bytes, bytes] = (0, b"\x00" * (count * WORD), b"\x00" * count)
 
@@ -149,9 +144,6 @@ class _Ram:
     def write(self, address: int, value: int) -> None:
         i = (address - self.base) // WORD
         value &= 0xFFFFFFFF
-        undo = self.undo
-        if undo is not None and i not in undo:
-            undo[i] = (self.words[i], self.parity[i])
         self.words[i] = value
         self.parity[i] = _parity(value)
         self.version += 1
@@ -182,17 +174,26 @@ class _Ram:
         """A restorable (and compactly picklable) copy of the region."""
         return self.packed()
 
-    def restore(self, snapshot: Tuple[bytes, bytes]) -> None:
+    def restore(self, snapshot: Tuple[bytes, bytes]) -> bool:
+        """Overwrite the region with ``snapshot``; returns whether it
+        wrote anything.
+
+        A region whose packed image is current (no mutation since it was
+        packed) and equal to the snapshot already holds exactly that
+        state, so it is left alone and its version does not move.
+        """
         words, parity = snapshot
+        cached = self._packed
+        if cached[0] == self.version and cached[1] == words and cached[2] == parity:
+            return False
         # In place: steady-state restores reuse the existing lists
         # instead of allocating fresh ones per call.
         self.words[:] = self._struct.unpack(words)
         self.parity[:] = parity
         self.version += 1
-        # A wholesale overwrite invalidates any armed undo log.
-        self.undo = None
         # The snapshot bytes *are* the packed image — prime the cache.
         self._packed = (self.version, words, parity)
+        return True
 
 
 class MMIODevice:
@@ -392,9 +393,6 @@ class MemoryMap:
         for ram in self._region_rams():
             if ram.contains(address):
                 i = ram.index(address)
-                undo = ram.undo
-                if undo is not None and i not in undo:
-                    undo[i] = (ram.words[i], ram.parity[i])
                 ram.words[i] = ram.words[i] ^ (1 << bit)
                 ram.version += 1
                 self.fetch_cache.clear()
@@ -432,7 +430,9 @@ class MemoryMap:
 
     def restore(self, snapshot: Dict[str, object]) -> None:
         """Restore state captured by :meth:`snapshot`."""
-        for name in ("code", "rodata", "data", "stack"):
+        if self.code.restore(snapshot["code"]):  # type: ignore[arg-type]
+            # Only a rewritten code region can invalidate verified fetches.
+            self.fetch_cache.clear()
+        for name in ("rodata", "data", "stack"):
             getattr(self, name).restore(snapshot[name])
         self.mmio.registers = dict(snapshot["mmio"])  # type: ignore[arg-type]
-        self.fetch_cache.clear()

@@ -202,5 +202,5 @@ class TestServiceCommands:
             ["submit", "--root", "r", "--algorithm", "II", "--prune"]
         )
         assert args.algorithm == "II" and args.prune
-        args = build_parser().parse_args(["campaign", "--no-delta-dataplane"])
-        assert not args.delta_dataplane
+        args = build_parser().parse_args(["campaign", "--no-locality-sort"])
+        assert not args.locality_sort

@@ -9,6 +9,7 @@ from repro.cli import main
 from repro.errors import ObservabilityError
 from repro.goofi import CampaignConfig, CampaignDatabase, ScifiCampaign
 from repro.goofi.database import DB_SCHEMA_VERSION
+from repro.obs.status import campaign_status
 from repro.obs import (
     EventLog,
     MetricsRegistry,
@@ -328,6 +329,92 @@ class TestEventSummary:
     def test_empty_stream_rejected(self):
         with pytest.raises(ObservabilityError):
             summarize_events([])
+
+
+class TestRetiredEventTypes:
+    """Logs written while the delta data plane existed carry
+    ``dataplane_stats`` records; they must stay readable."""
+
+    def _old_log(self, workload, tmp_path) -> str:
+        path = str(tmp_path / "old.jsonl")
+        with Telemetry(events_path=path) as telemetry:
+            ScifiCampaign(_config(workload, faults=4)).run(telemetry=telemetry)
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        retired = [
+            {"schema_version": SCHEMA_VERSION, "event": "dataplane_stats",
+             "ts": 2.0, "worker": 0, "restore_words_touched": 140,
+             "delta_replay_iterations": 10, "full_restores": 3},
+            {"schema_version": SCHEMA_VERSION, "event": "chunk_resized",
+             "ts": 3.0, "size": 8, "rate": 120.0},
+        ]
+        lines[-1:-1] = [json.dumps(record) + "\n" for record in retired]
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(lines)
+        return path
+
+    def test_old_log_parses_summarizes_and_status_reduces(
+        self, algorithm_i_compiled, tmp_path, capsys
+    ):
+        path = self._old_log(algorithm_i_compiled, tmp_path)
+        events = read_events(path)
+        assert sum(e["event"] == "dataplane_stats" for e in events) == 1
+        summary = summarize_events(events)
+        assert summary.experiments == 4
+        assert summary.chunks_resized == 1
+        text = render_events_summary(events)
+        assert "Scheduler" in text and "Data plane" not in text
+        status = campaign_status(events)
+        assert status.state == "finished" and status.done == 4
+        assert status.to_dict()["scheduler"] == {"chunks_resized": 1}
+        assert main(["obs", "--events", path]) == 0
+        assert main(["obs", "status", "--events", path]) == 0
+        assert "1 chunk resizes" in capsys.readouterr().out
+
+    @staticmethod
+    def _retired_records():
+        return [
+            {"event": "campaign_started", "name": "x", "faults": 4, "workers": 2,
+             "seed": 1, "ts": 1.0},
+            {"event": "dataplane_stats", "worker": 1, "ts": 2.0,
+             "restore_words_touched": 100, "delta_replay_iterations": 7,
+             "full_restores": 1},
+            # A shard replay of the same record.
+            {"event": "dataplane_stats", "worker": 1, "ts": 2.0,
+             "restore_words_touched": 100, "delta_replay_iterations": 7,
+             "full_restores": 1},
+            {"event": "dataplane_stats", "worker": 0, "ts": 3.0,
+             "restore_words_touched": 40, "delta_replay_iterations": 3,
+             "full_restores": 2},
+            {"event": "chunk_resized", "ts": 4.0, "size": 8, "rate": 120.0},
+        ]
+
+    def test_status_ignores_replayed_dataplane_stats(self):
+        events = self._retired_records()
+        baseline = [e for e in events if e["event"] != "dataplane_stats"]
+        payload = campaign_status(events).to_dict()
+        assert "dataplane" not in payload
+        assert payload["scheduler"] == {"chunks_resized": 1}
+        assert campaign_status(events).to_dict() == payload
+        assert campaign_status(baseline).to_dict() == payload
+
+    def test_summary_ignores_dataplane_stats(self):
+        # summarize_events reads the merged log (no replays by then).
+        events = [e for i, e in enumerate(self._retired_records()) if i != 2]
+        baseline = [e for e in events if e["event"] != "dataplane_stats"]
+        summary = summarize_events(events)
+        assert summary.chunks_resized == 1
+        assert summary == summarize_events(baseline)
+        text = render_events_summary(events)
+        assert "Data plane" not in text
+        assert text == render_events_summary(baseline)
+
+    def test_old_log_accepts_resume_append(self, algorithm_i_compiled, tmp_path):
+        path = self._old_log(algorithm_i_compiled, tmp_path)
+        log = EventLog(path, mode="a")
+        log.emit("campaign_resumed", ts=4.0, completed=4)
+        log.close()
+        assert read_events(path)[-1]["event"] == "campaign_resumed"
 
 
 class TestObsCli:
