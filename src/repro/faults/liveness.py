@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
+from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.faults.models import FaultDescriptor, FaultTarget
@@ -111,6 +112,8 @@ class Liveness(enum.Enum):
 #: carry 0.
 AccessEntry = Tuple[int, bool, int, int]
 
+_ENTRY_TIME = itemgetter(0)
+
 
 class ReadSite(NamedTuple):
     """The first live read of a faulted bit, plus the faulty value.
@@ -148,7 +151,7 @@ class AccessRecorder:
     delivered.
     """
 
-    __slots__ = ("now", "traces", "memory_ranges")
+    __slots__ = ("now", "traces", "memory_ranges", "handlers")
 
     def __init__(self) -> None:
         self.now = 0
@@ -156,6 +159,18 @@ class AccessRecorder:
         #: ``(base, end)`` address ranges whose words the memory hooks
         #: cover; data-space faults outside them classify as live.
         self.memory_ranges: List[Tuple[int, int]] = []
+        #: The CPU's recording handlers by instruction word; they append
+        #: to this recorder's trace lists, so they live and die with it.
+        self.handlers: Dict[int, object] = {}
+
+    def register_trace(self, element: str) -> List[AccessEntry]:
+        """One register element's trace list, for handlers that append
+        ``(now, is_write, mask, value)`` entries to it directly."""
+        key = (REGISTER_PARTITION, element)
+        trace = self.traces.get(key)
+        if trace is None:
+            trace = self.traces[key] = []
+        return trace
 
     def track_memory_range(self, base: int, size: int) -> None:
         """Declare one RAM region as covered by the memory hooks."""
@@ -163,18 +178,10 @@ class AccessRecorder:
 
     # -- hook entry points (duck-typed from thor; keep them lean) ----------
     def reg_read(self, element: str, mask: int = FULL_MASK, value: int = 0) -> None:
-        key = (REGISTER_PARTITION, element)
-        trace = self.traces.get(key)
-        if trace is None:
-            trace = self.traces[key] = []
-        trace.append((self.now, False, mask, value))
+        self.register_trace(element).append((self.now, False, mask, value))
 
     def reg_write(self, element: str, mask: int = FULL_MASK) -> None:
-        key = (REGISTER_PARTITION, element)
-        trace = self.traces.get(key)
-        if trace is None:
-            trace = self.traces[key] = []
-        trace.append((self.now, True, mask, 0))
+        self.register_trace(element).append((self.now, True, mask, 0))
 
     def cache_read(self, line: int, field: str, value: int = 0) -> None:
         key = _CACHE_KEYS[line][field]
@@ -226,7 +233,10 @@ class LivenessMap:
         memory_ranges: Iterable[Tuple[int, int]] = (),
     ):
         self._traces = traces
-        self._times = {key: [e[0] for e in trace] for key, trace in traces.items()}
+        #: Per-element instruction indices of the trace entries, for the
+        #: binary search; built on an element's first query, because a
+        #: campaign's faults land in only some of the recorded elements.
+        self._times: Dict[TraceKey, List[int]] = {}
         self.total_instructions = total_instructions
         self._memory_ranges = tuple(memory_ranges)
 
@@ -240,6 +250,17 @@ class LivenessMap:
             total_instructions=total_instructions,
             memory_ranges=recorder.memory_ranges,
         )
+
+    def _times_of(self, key: Optional[TraceKey]) -> Optional[List[int]]:
+        if key is None:
+            return None
+        times = self._times.get(key)
+        if times is None:
+            trace = self._traces.get(key)
+            if trace is None:
+                return None
+            times = self._times[key] = list(map(_ENTRY_TIME, trace))
+        return times
 
     def _covers(self, target: FaultTarget) -> bool:
         if target.partition in (REGISTER_PARTITION, CACHE_PARTITION):
@@ -259,7 +280,7 @@ class LivenessMap:
         if key in ALWAYS_LIVE or not self._covers(target):
             return Liveness.LIVE
         trace_key = _target_trace_key(target)
-        times = self._times.get(trace_key)
+        times = self._times_of(trace_key)
         if times is None:
             # The element is covered by the hooks but the reference run
             # never touched it: the flip survives to the final state.
@@ -286,7 +307,7 @@ class LivenessMap:
         if key in ALWAYS_LIVE or not self._covers(target):
             return None
         trace_key = _target_trace_key(target)
-        times = self._times.get(trace_key)
+        times = self._times_of(trace_key)
         if times is None:
             return None
         trace = self._traces[trace_key]

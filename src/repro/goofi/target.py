@@ -302,10 +302,14 @@ class TargetSystem:
 
         With ``record_access=True`` the run additionally collects the
         def/use access trace of every injectable state element (plus the
-        tracked data-space memory words) through the CPU/cache/memory
-        recorder hooks, and freezes it into :attr:`liveness` for the
-        campaign's fault pruning.  Recording changes nothing about the
-        reference itself — the hooks only observe.
+        tracked data-space memory words) and freezes it into
+        :attr:`liveness` for the campaign's fault pruning.  With fast
+        dispatch on, the CPU records through its predecoded recording
+        handlers (register accesses) and the cache/memory recorder hooks;
+        with ``fast_dispatch=False`` the traced interpreter reports every
+        access through the hooks.  Both produce the same traces.
+        Recording changes nothing about the reference itself — the hooks
+        only observe.
         """
         cpu = self.cpu
         env = self.environment

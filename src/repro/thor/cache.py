@@ -86,12 +86,12 @@ class DataCache:
             if self.valid[index]:
                 recorder.cache_read(index, "dirty", self.dirty[index])
                 if self.dirty[index]:
-                    recorder.cache_read(index, "tag", int(self.tags[index]))
-                    recorder.cache_read(index, "data", int(self.data[index]))
+                    recorder.cache_read(index, "tag", self.tags[index])
+                    recorder.cache_read(index, "data", self.data[index])
         if self.valid[index] and self.dirty[index]:
-            victim_address = line_address(int(self.tags[index]), index)
+            victim_address = line_address(self.tags[index], index)
             self.writebacks += 1
-            memory.write_data_word(victim_address, int(self.data[index]))
+            memory.write_data_word(victim_address, self.data[index])
         self.valid[index] = 0
         self.dirty[index] = 0
         if recorder is not None:
@@ -106,11 +106,11 @@ class DataCache:
         if recorder is not None:
             recorder.cache_read(index, "valid", self.valid[index])
             if self.valid[index]:
-                recorder.cache_read(index, "tag", int(self.tags[index]))
+                recorder.cache_read(index, "tag", self.tags[index])
         if self.valid[index] and self.tags[index] == tag:
             self.hits += 1
             if recorder is not None:
-                recorder.cache_read(index, "data", int(self.data[index]))
+                recorder.cache_read(index, "data", self.data[index])
             return self.data[index]
         self.misses += 1
         self._evict(index, memory)
@@ -134,7 +134,7 @@ class DataCache:
         if recorder is not None:
             recorder.cache_read(index, "valid", self.valid[index])
             if self.valid[index]:
-                recorder.cache_read(index, "tag", int(self.tags[index]))
+                recorder.cache_read(index, "tag", self.tags[index])
         if not (self.valid[index] and self.tags[index] == tag):
             self.misses += 1
             self._evict(index, memory)

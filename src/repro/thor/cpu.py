@@ -20,8 +20,8 @@ are reported as :class:`~repro.thor.edm.DetectionEvent` values.
 Dispatch
 --------
 
-The interpreter has two execution paths with identical observable
-behaviour:
+The interpreter has three execution paths with identical observable
+behaviour (and identical access traces, for the two that record):
 
 * **fast dispatch** (default): instruction words are *predecoded* into
   per-word handler closures cached in :data:`_PREDECODE`.  A handler
@@ -30,10 +30,18 @@ behaviour:
   :data:`_YIELD`/:data:`_HALT` sentinels.  The cache is keyed by the raw
   32-bit word, so a corrupted IR always dispatches through the corrupted
   word's own handler — never a stale predecoded entry.
-* **traced dispatch**: the original decode + ``if``/``elif`` chain, used
-  whenever an access-trace recorder or a trace hook is attached (they
-  must observe every architectural access in order) or when
-  :attr:`CPU.fast_dispatch` is switched off for baseline measurements.
+* **recording dispatch**: with an access-trace recorder attached,
+  :meth:`CPU.run` wraps each predecoded handler in a per-word recording
+  handler built from the :data:`_ACCESSES` table.  It appends the
+  register, latch and PSW accesses straight to the recorder's
+  per-element trace lists, while the cache and memory hooks fire inside
+  the plain handler, so the recorded traces equal the traced chain's.
+* **traced dispatch**: the original decode + ``if``/``elif`` chain, which
+  reports every access through the recorder's hook methods.  It runs
+  every instruction when a trace hook is attached or when
+  :attr:`CPU.fast_dispatch` is switched off for baseline measurements,
+  and the words the recording handlers cannot express (illegal words,
+  out-of-range register fields) while recording.
 
 Words whose register fields fall outside the register file (possible
 only under fault) fall back to the traced chain's semantics through a
@@ -644,16 +652,14 @@ class CPU:
     # -- convenience runners -----------------------------------------------------
     def run(self, max_instructions: int) -> StepResult:
         """Step until yield/halt/detection or the instruction budget ends."""
-        if (
-            self.recorder is not None
-            or self.trace_hook is not None
-            or not self.fast_dispatch
-        ):
+        if self.trace_hook is not None or not self.fast_dispatch:
             for _ in range(max_instructions):
                 result = self.step()
                 if result is not StepResult.OK:
                     return result
             return StepResult.OK
+        if self.recorder is not None:
+            return self._run_recording(max_instructions)
         # Fast inner loop: predecoded dispatch with the per-step flag
         # checks hoisted out (nothing inside the loop can attach a
         # recorder or trace hook).
@@ -673,6 +679,61 @@ class CPU:
                 if handler is None:
                     handler = build(word)
                 r = handler(self)
+                index += 1
+                if r is None:
+                    self.pc = (self.pc + WORD) & _U32
+                elif r.__class__ is int:
+                    self.pc = r
+                elif r is _HALT:
+                    self.instruction_index = index
+                    return StepResult.HALTED
+                else:  # _YIELD
+                    self.instruction_index = index
+                    self.pc = (self.pc + WORD) & _U32
+                    self.ir = fetch(self.pc)
+                    return StepResult.YIELD
+                self.ir = fetch(self.pc)
+        except HardwareDetection as event:
+            self.instruction_index = index
+            self.detection = DetectionEvent(
+                mechanism=event.mechanism,
+                pc=self.pc,
+                instruction_index=index,
+                detail=event.detail,
+            )
+            notify_detection(self.detection)
+            return StepResult.DETECTED
+        self.instruction_index = index
+        return StepResult.OK
+
+    def _run_recording(self, max_instructions: int) -> StepResult:
+        """:meth:`run`'s loop with an access recorder attached: the
+        predecoded handlers wrapped by :func:`_recording_handler`, and
+        the traced :meth:`step` for the words those cannot express."""
+        if self.detection is not None:
+            return StepResult.DETECTED
+        if self.halted:
+            return StepResult.HALTED
+        self.last_svc = None
+        recorder = self.recorder
+        handlers_get = recorder.handlers.get
+        fetch = self.memory.fetch_word_cached
+        index = self.instruction_index
+        try:
+            for _ in range(max_instructions):
+                word = self.ir & _U32
+                handler = handlers_get(word)
+                if handler is None:
+                    handler = _recording_handler(recorder, word)
+                if handler is _TRACED:
+                    self.instruction_index = index
+                    result = self.step()
+                    index = self.instruction_index
+                    if result is not StepResult.OK:
+                        return result
+                    continue
+                recorder.now = index
+                r = handler(self, index)
                 index += 1
                 if r is None:
                     self.pc = (self.pc + WORD) & _U32
@@ -779,8 +840,9 @@ _BRANCHES = frozenset(
 #   _HALT     -> CPU halted (no prefetch)
 # Detections propagate as HardwareDetection exceptions, exactly as in the
 # traced chain.  Handlers are built per *word*, so every operand field is
-# a closure constant; they never touch the recorder/trace hooks (the fast
-# path is only taken when neither is attached).
+# a closure constant.  They make no recorder calls of their own: while a
+# recorder is attached, the recording loop wraps them (see
+# _recording_handler) and the cache and memory hooks fire inside them.
 # ---------------------------------------------------------------------------
 
 _YIELD = object()
@@ -1463,56 +1525,77 @@ _HANDLER_FACTORIES: Dict[Opcode, Callable[[Instruction], _Handler]] = {
     Opcode.CHK: _f_chk,
 }
 
+_PSW_MODE = ("psw", FLAG_M)
+_PSW_FLAGS_READ = ("psw", _FLAG_READ_MASK)
+_PSW_FLAGS_WRITE = ("psw", _FLAG_WRITE_MASK)
+_RRW = (("rs1", "rs2"), False, ("rd",))
+_RW = (("rs1",), False, ("rd",))
+_PSW_CMP = (("rs1", "rs2"), False, (_PSW_FLAGS_WRITE,))
+_BRANCH = ((_PSW_FLAGS_READ,), False, ())
+
+#: What the traced chain reports to an access recorder, per opcode:
+#: ``(reads, latches, writes)``.  ``reads`` are the register reads in
+#: traced order — a register field (``rd``/``rs1``/``rs2``), the stack
+#: pointer, or a masked PSW read; the reads carry the pre-instruction
+#: value, because every opcode reads all its registers before it writes
+#: any.  ``latches`` is true when the opcode writes ``mar``/``mdr``
+#: (before any cache or memory access).  ``writes`` are the register
+#: field or masked PSW writes that follow the operation.
+_ACCESSES: Dict[Opcode, Tuple[Tuple[object, ...], bool, Tuple[object, ...]]] = {
+    Opcode.NOP: ((), False, ()),
+    Opcode.HALT: ((_PSW_MODE,), False, ()),
+    Opcode.WFI: ((_PSW_MODE,), False, ()),
+    Opcode.SVC: ((), False, ()),
+    Opcode.SIG: ((), False, ()),
+    Opcode.SETMODE: ((_PSW_MODE, "rs1"), False, (_PSW_MODE,)),
+    Opcode.LDI: ((), False, ("rd",)),
+    Opcode.LUI: ((), False, ("rd",)),
+    Opcode.ORI: (("rd",), False, ("rd",)),
+    Opcode.MOV: _RW,
+    Opcode.LD: (("rs1",), True, ("rd",)),
+    Opcode.ST: (("rs1", "rd"), True, ()),
+    Opcode.PUSH: (("sp", "rd"), True, ()),
+    Opcode.POP: (("sp",), True, ("rd",)),
+    Opcode.ADD: _RRW,
+    Opcode.SUB: _RRW,
+    Opcode.MUL: _RRW,
+    Opcode.DIV: _RRW,
+    Opcode.AND: _RRW,
+    Opcode.OR: _RRW,
+    Opcode.XOR: _RRW,
+    Opcode.SHL: _RRW,
+    Opcode.SHR: _RRW,
+    Opcode.ADDI: _RW,
+    Opcode.CMP: _PSW_CMP,
+    Opcode.FADD: _RRW,
+    Opcode.FSUB: _RRW,
+    Opcode.FMUL: _RRW,
+    Opcode.FDIV: _RRW,
+    Opcode.FCMP: _PSW_CMP,
+    Opcode.ITOF: _RW,
+    Opcode.FTOI: _RW,
+    Opcode.FNEG: _RW,
+    Opcode.BR: _BRANCH,
+    Opcode.BEQ: _BRANCH,
+    Opcode.BNE: _BRANCH,
+    Opcode.BLT: _BRANCH,
+    Opcode.BGE: _BRANCH,
+    Opcode.BGT: _BRANCH,
+    Opcode.BLE: _BRANCH,
+    Opcode.BVS: _BRANCH,
+    Opcode.CALL: (("sp",), True, ()),
+    Opcode.RET: (("sp",), True, ()),
+    Opcode.JR: (("rs1",), False, ()),
+    Opcode.CHK: (("rd", "rs1", "rs2"), False, ()),
+}
+
 #: Register fields each opcode actually consumes.  A word whose used
 #: fields fall outside the register file (only reachable through faults)
 #: keeps the traced chain's exact detection ordering via the generic
 #: fallback handler.
 _FIELDS_USED: Dict[Opcode, Tuple[str, ...]] = {
-    Opcode.NOP: (),
-    Opcode.HALT: (),
-    Opcode.WFI: (),
-    Opcode.SVC: (),
-    Opcode.SIG: (),
-    Opcode.SETMODE: ("rs1",),
-    Opcode.LDI: ("rd",),
-    Opcode.LUI: ("rd",),
-    Opcode.ORI: ("rd",),
-    Opcode.MOV: ("rd", "rs1"),
-    Opcode.LD: ("rd", "rs1"),
-    Opcode.ST: ("rd", "rs1"),
-    Opcode.PUSH: ("rd",),
-    Opcode.POP: ("rd",),
-    Opcode.ADD: ("rd", "rs1", "rs2"),
-    Opcode.SUB: ("rd", "rs1", "rs2"),
-    Opcode.MUL: ("rd", "rs1", "rs2"),
-    Opcode.DIV: ("rd", "rs1", "rs2"),
-    Opcode.AND: ("rd", "rs1", "rs2"),
-    Opcode.OR: ("rd", "rs1", "rs2"),
-    Opcode.XOR: ("rd", "rs1", "rs2"),
-    Opcode.SHL: ("rd", "rs1", "rs2"),
-    Opcode.SHR: ("rd", "rs1", "rs2"),
-    Opcode.ADDI: ("rd", "rs1"),
-    Opcode.CMP: ("rs1", "rs2"),
-    Opcode.FADD: ("rd", "rs1", "rs2"),
-    Opcode.FSUB: ("rd", "rs1", "rs2"),
-    Opcode.FMUL: ("rd", "rs1", "rs2"),
-    Opcode.FDIV: ("rd", "rs1", "rs2"),
-    Opcode.FCMP: ("rs1", "rs2"),
-    Opcode.ITOF: ("rd", "rs1"),
-    Opcode.FTOI: ("rd", "rs1"),
-    Opcode.FNEG: ("rd", "rs1"),
-    Opcode.BR: (),
-    Opcode.BEQ: (),
-    Opcode.BNE: (),
-    Opcode.BLT: (),
-    Opcode.BGE: (),
-    Opcode.BGT: (),
-    Opcode.BLE: (),
-    Opcode.BVS: (),
-    Opcode.CALL: (),
-    Opcode.RET: (),
-    Opcode.JR: ("rs1",),
-    Opcode.CHK: ("rd", "rs1", "rs2"),
+    op: tuple(f for f in ("rd", "rs1", "rs2") if f in reads or f in writes)
+    for op, (reads, _latches, writes) in _ACCESSES.items()
 }
 
 
@@ -1561,6 +1644,72 @@ def _predecode(word: int) -> _Handler:
     handler = _build_handler(word)
     if len(_PREDECODE) < _PREDECODE_CAP:
         _PREDECODE[word] = handler
+    return handler
+
+
+#: Recording-handler marker: execute this word through the traced
+#: :meth:`CPU.step` (illegal words, out-of-range register fields).
+_TRACED = object()
+
+
+def _recording_handler(recorder, word: int):
+    """Build and cache ``word``'s recording handler on ``recorder``.
+
+    The handler takes ``(cpu, now)``, appends the :data:`_ACCESSES`
+    entries straight to the recorder's per-element trace lists around
+    the plain predecoded handler — whose cache and memory hooks fire
+    inside it, as on the traced path — and returns that handler's
+    result.  The lists are the recorder's, so the handlers are cached on
+    the recorder (``recorder.handlers``), not in :data:`_PREDECODE`.
+    """
+    instruction = _decode_cached(word)
+    handler: object = _TRACED
+    if instruction is not None and all(
+        getattr(instruction, name) <= SP_INDEX
+        for name in _FIELDS_USED[instruction.opcode]
+    ):
+        reads, latches, writes = _ACCESSES[instruction.opcode]
+        field = {
+            "rd": instruction.rd,
+            "rs1": instruction.rs1,
+            "rs2": instruction.rs2,
+            "sp": SP_INDEX,
+        }
+        trace = recorder.register_trace
+        reg_reads = tuple(
+            (trace(_REG_NAMES[field[r]]).append, field[r])
+            for r in reads
+            if r.__class__ is str
+        )
+        psw_reads = tuple(
+            (trace(r[0]).append, r[1]) for r in reads if r.__class__ is tuple
+        )
+        latch_writes = (
+            (trace("mar").append, trace("mdr").append) if latches else ()
+        )
+        post_writes = tuple(
+            (trace(_REG_NAMES[field[w]]).append, _U32)
+            if w.__class__ is str
+            else (trace(w[0]).append, w[1])
+            for w in writes
+        )
+        plain = _PREDECODE.get(word) or _predecode(word)
+
+        def record(cpu: CPU, now: int):
+            regs = cpu.regs
+            for append, i in reg_reads:
+                append((now, False, _U32, regs[i]))
+            for append, mask in psw_reads:
+                append((now, False, mask, cpu.psw))
+            for append in latch_writes:
+                append((now, True, _U32, 0))
+            r = plain(cpu)
+            for append, mask in post_writes:
+                append((now, True, mask, 0))
+            return r
+
+        handler = record
+    recorder.handlers[word] = handler
     return handler
 
 
