@@ -1,23 +1,29 @@
 #!/usr/bin/env python
 """Benchmark: interpreter fast path, incremental hashing, shared reference.
 
-Measures the three optimisation layers this repo's campaign engine
-carries — predecoded dispatch tables, incremental boundary hashing and
-the shared golden reference across workers — against their in-tree
-baselines (``fast_dispatch=False``, ``incremental_hash=False``,
-``share_reference=False``, i.e. the pre-optimisation interpreter
-semantics, which are kept runnable precisely for this comparison).
+Measures the campaign engine's optimised execution stack — predecoded
+dispatch tables, incremental boundary hashing and the golden reference
+shared across workers — and gates it on bit-identical outcomes.
 
 Records into ``results/BENCH_interpreter.json``:
 
-* reference-run instructions/sec, optimized vs. baseline;
+* reference-run instructions/sec;
 * end-to-end wall-clock of the default 500-fault campaign, serial and
-  ``--workers 4``, optimized vs. baseline;
+  ``--workers 4``;
 * the dynamic opcode mix (via :class:`repro.thor.profiler.Profiler`)
   that justifies the dispatch-table ordering;
-* a golden-equivalence verdict: the optimized build must produce
-  bit-identical reference hashes, experiment outcomes and summary
-  tables against the baseline, serial and parallel.
+* a golden-equivalence verdict, from two oracles:
+
+  - the committed fixture ``tests/golden_campaign_outcomes.json``
+    (digests of the reference runs, per-experiment rows and outcome
+    tables of short Algorithm I/II campaigns): the optimised reference,
+    the serial and the parallel campaign at the fixture's size must
+    reproduce every digest;
+  - the traced decode-and-branch interpreter, selected by attaching a
+    no-op trace hook: at the benchmark's own size the optimised
+    reference and serial campaign must equal the traced ones, and the
+    parallel campaign must equal the serial one, row for row and table
+    for table.
 
 Exits non-zero when any equivalence check diverges — the CI smoke step
 runs ``bench_interpreter.py --quick`` and relies on that gate.
@@ -31,44 +37,38 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
-from repro.analysis.report import render_outcome_table
-from repro.goofi.campaign import CampaignConfig, ScifiCampaign
-from repro.goofi.target import TargetSystem
-from repro.thor.profiler import Profiler
-from repro.workloads import compile_algorithm_ii
+import test_campaign_golden as golden  # noqa: E402
+from repro.analysis.report import render_outcome_table  # noqa: E402
+from repro.goofi.campaign import CampaignConfig, ScifiCampaign  # noqa: E402
+from repro.goofi.target import TargetSystem  # noqa: E402
+from repro.thor.profiler import Profiler  # noqa: E402
+from repro.workloads import compile_algorithm_ii  # noqa: E402
 
 RESULTS = Path(__file__).resolve().parent / "results" / "BENCH_interpreter.json"
 
 
-def measure_reference(workload, iterations, fast_dispatch, incremental_hash):
+def measure_reference(workload, iterations, traced=False):
     """Time one golden reference run; returns (instr/sec, ReferenceRun)."""
-    target = TargetSystem(
-        workload,
-        iterations=iterations,
-        fast_dispatch=fast_dispatch,
-        incremental_hash=incremental_hash,
-    )
+    target = TargetSystem(workload, iterations=iterations)
+    if traced:
+        target.cpu.trace_hook = golden.trace_nothing
     started = time.perf_counter()
     reference = target.run_reference()
     seconds = time.perf_counter() - started
     return reference.total_instructions / seconds, reference
 
 
-def measure_campaign(workload, faults, iterations, workers, optimized):
+def measure_campaign(config, workers, traced=False):
     """Time one full campaign; returns (seconds, CampaignResult)."""
-    config = CampaignConfig(
-        workload=workload,
-        name="interpreter bench",
-        faults=faults,
-        iterations=iterations,
-        fast_dispatch=optimized,
-        incremental_hash=optimized,
-        share_reference=optimized,
-    )
+    campaign = ScifiCampaign(config)
+    if traced:
+        campaign.target.cpu.trace_hook = golden.trace_nothing
     started = time.perf_counter()
-    result = ScifiCampaign(config).run(workers=workers)
+    result = campaign.run(workers=workers)
     return time.perf_counter() - started, result
 
 
@@ -92,12 +92,36 @@ def opcode_mix(workload, iterations, top=15):
     }
 
 
-def references_identical(a, b):
-    return (
-        a.hashes == b.hashes
-        and a.outputs == b.outputs
-        and a.instructions_at == b.instructions_at
-    )
+def fixture_checks(workers):
+    """Reproduce every digest of the committed golden fixture."""
+    fixture = json.loads(golden.FIXTURE.read_text())
+    checks = {
+        "fixture_reference_identical": True,
+        "fixture_traced_reference_identical": True,
+        "fixture_serial_campaign_identical": True,
+        "fixture_parallel_campaign_identical": True,
+    }
+    for algorithm, compile_workload in golden._COMPILERS.items():
+        expected = fixture[algorithm]
+        workload = compile_workload()
+        for key, traced in (
+            ("fixture_reference_identical", False),
+            ("fixture_traced_reference_identical", True),
+        ):
+            _rate, reference = measure_reference(
+                workload, golden.ITERATIONS, traced=traced
+            )
+            checks[key] &= (
+                golden.reference_digests(reference) == expected["reference"]
+            )
+        config = golden.scifi_config(algorithm, workload)
+        for key, run_workers in (
+            ("fixture_serial_campaign_identical", 1),
+            ("fixture_parallel_campaign_identical", workers),
+        ):
+            _seconds, result = measure_campaign(config, run_workers)
+            checks[key] &= golden.campaign_digests(result) == expected["scifi"]
+    return checks
 
 
 def main(argv=None):
@@ -116,60 +140,41 @@ def main(argv=None):
     faults = args.faults or (100 if args.quick else 500)
     iterations = args.iterations or (200 if args.quick else 650)
     workload = compile_algorithm_ii()
+    config = CampaignConfig(
+        workload=workload,
+        name="interpreter bench",
+        faults=faults,
+        iterations=iterations,
+    )
 
     print(f"interpreter bench: faults={faults} iterations={iterations}")
 
     # -- reference-run instruction rate ----------------------------------------
-    base_rate, base_ref = measure_reference(workload, iterations, False, False)
-    fast_rate, fast_ref = measure_reference(workload, iterations, True, True)
-    print(f"reference  baseline {base_rate:10.0f} instr/s")
-    print(f"reference  optimized {fast_rate:9.0f} instr/s  "
-          f"({fast_rate / base_rate:.2f}x)")
-
-    # Single-flag reference runs for the per-flag equivalence gate.
-    _rate, dispatch_only = measure_reference(workload, iterations, True, False)
-    _rate, hashing_only = measure_reference(workload, iterations, False, True)
+    rate, reference = measure_reference(workload, iterations)
+    print(f"reference  {rate:10.0f} instr/s")
 
     # -- end-to-end campaigns --------------------------------------------------
-    base_serial_s, base_serial = measure_campaign(
-        workload, faults, iterations, 1, optimized=False
-    )
-    fast_serial_s, fast_serial = measure_campaign(
-        workload, faults, iterations, 1, optimized=True
-    )
-    print(f"serial     baseline {base_serial_s:8.2f} s")
-    print(f"serial     optimized {fast_serial_s:7.2f} s  "
-          f"({base_serial_s / fast_serial_s:.2f}x)")
-    base_par_s, base_par = measure_campaign(
-        workload, faults, iterations, args.workers, optimized=False
-    )
-    fast_par_s, fast_par = measure_campaign(
-        workload, faults, iterations, args.workers, optimized=True
-    )
-    print(f"workers={args.workers}  baseline {base_par_s:8.2f} s")
-    print(f"workers={args.workers}  optimized {fast_par_s:7.2f} s  "
-          f"({base_par_s / fast_par_s:.2f}x)")
+    serial_s, serial = measure_campaign(config, 1)
+    print(f"serial     {serial_s:8.2f} s")
+    parallel_s, parallel = measure_campaign(config, args.workers)
+    print(f"workers={args.workers}  {parallel_s:8.2f} s")
 
     # -- golden equivalence ----------------------------------------------------
-    table = render_outcome_table(base_serial.summary())
+    _rate, traced_reference = measure_reference(workload, iterations, traced=True)
+    _seconds, traced_serial = measure_campaign(config, 1, traced=True)
+    rows = golden.experiment_rows(serial)
+    table = render_outcome_table(serial.summary())
     equivalence = {
-        "reference_bit_identical": references_identical(base_ref, fast_ref),
-        "reference_dispatch_flag_identical": references_identical(
-            base_ref, dispatch_only
-        ),
-        "reference_hashing_flag_identical": references_identical(
-            base_ref, hashing_only
-        ),
-        "serial_outcomes_identical": base_serial.outcomes
-        == fast_serial.outcomes,
-        "parallel_outcomes_identical": base_serial.outcomes
-        == base_par.outcomes
-        == fast_par.outcomes,
+        **fixture_checks(args.workers),
+        "traced_reference_identical": golden.reference_digests(reference)
+        == golden.reference_digests(traced_reference),
+        "traced_serial_outcomes_identical": rows
+        == golden.experiment_rows(traced_serial),
+        "parallel_outcomes_identical": rows == golden.experiment_rows(parallel),
         "summary_tables_identical": (
             table
-            == render_outcome_table(fast_serial.summary())
-            == render_outcome_table(base_par.summary())
-            == render_outcome_table(fast_par.summary())
+            == render_outcome_table(traced_serial.summary())
+            == render_outcome_table(parallel.summary())
         ),
     }
     ok = all(equivalence.values())
@@ -184,20 +189,12 @@ def main(argv=None):
             "quick": args.quick,
         },
         "reference_run": {
-            "instructions": fast_ref.total_instructions,
-            "baseline_instr_per_sec": round(base_rate),
-            "optimized_instr_per_sec": round(fast_rate),
-            "speedup": round(fast_rate / base_rate, 2),
+            "instructions": reference.total_instructions,
+            "optimized_instr_per_sec": round(rate),
         },
-        "campaign_serial": {
-            "baseline_seconds": round(base_serial_s, 3),
-            "optimized_seconds": round(fast_serial_s, 3),
-            "speedup": round(base_serial_s / fast_serial_s, 2),
-        },
+        "campaign_serial": {"optimized_seconds": round(serial_s, 3)},
         f"campaign_workers{args.workers}": {
-            "baseline_seconds": round(base_par_s, 3),
-            "optimized_seconds": round(fast_par_s, 3),
-            "speedup": round(base_par_s / fast_par_s, 2),
+            "optimized_seconds": round(parallel_s, 3),
         },
         "opcode_mix": opcode_mix(workload, iterations),
         "golden_equivalence": equivalence,

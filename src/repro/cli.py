@@ -113,7 +113,6 @@ def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
         prune=args.prune,
         collapse=args.collapse,
         batch_size=args.batch_size,
-        locality_sort=args.locality_sort,
         chaos=chaos,
     )
 
@@ -673,14 +672,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="K",
         help="live faults simulated concurrently through one shared "
         "dispatch loop (default: 1, classic one-at-a-time execution)",
-    )
-    parser.add_argument(
-        "--locality-sort",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="execute live faults in injection-time order with "
-        "throughput-adaptive worker chunks (default: on; results are "
-        "reported in plan order either way)",
     )
     parser.add_argument(
         "--chaos",

@@ -104,21 +104,6 @@ class CampaignConfig:
             environment state); ``1`` (default) pins the classic one-
             at-a-time execution.  Like ``collapse``, proven outcome-
             invariant by the golden-equivalence gate.
-        share_reference: ship the parent's golden run to the workers
-            instead of having every worker recompute it (parallel runs
-            only; outcomes are identical either way).
-        fast_dispatch: use the predecoded dispatch-table interpreter;
-            ``False`` pins the legacy decode/execute chain.
-        incremental_hash: compute boundary digests incrementally from
-            cached clean-image prefixes; ``False`` rebuilds every digest
-            from scratch.  All three flags exist for the
-            golden-equivalence test and benchmark baselines.
-        locality_sort: execute live faults in injection-time order so
-            consecutive experiments restore to nearby boundaries, and
-            size parallel chunks adaptively from measured worker
-            throughput.  Results are still streamed, stored and
-            reported in plan order; outcome-invariant like the other
-            scheduling flags.
         environment_factory: builds the environment simulator.
         recovery: retry/backoff/quarantine policy of the crash-safety
             machinery (``docs/robustness.md``); never affects outcomes,
@@ -138,10 +123,6 @@ class CampaignConfig:
     prune: bool = False
     collapse: bool = False
     batch_size: int = 1
-    share_reference: bool = True
-    fast_dispatch: bool = True
-    incremental_hash: bool = True
-    locality_sort: bool = True
     environment_factory: Callable[[], EngineEnvironment] = EngineEnvironment
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     chaos: Optional[ChaosSpec] = None
@@ -200,12 +181,10 @@ def _run_chunk(args):
     """Worker entry point: run one slice of a fault plan.
 
     Top-level (picklable) by necessity; runs against the process-wide
-    target system built by the pool initializer — with a shared
-    reference the golden run was computed once in the parent and
-    shipped, otherwise the initializer recomputed it, but either way no
-    per-chunk reference run happens here.  ``chunk`` carries
-    ``(plan index, fault)`` pairs so telemetry can be re-ordered into
-    plan order afterwards.  With ``batch_size > 1`` the chunk is cut
+    target system built by the pool initializer from the golden run the
+    parent computed once and shipped, so no reference run happens here.
+    ``chunk`` carries ``(plan index, fault)`` pairs so telemetry can be
+    re-ordered into plan order afterwards.  With ``batch_size > 1`` the chunk is cut
     into groups of that size and each group runs through the target's
     shared-dispatch batch engine — outcome-identical to one-at-a-time
     execution, just cheaper per instruction.
@@ -306,8 +285,6 @@ class ScifiCampaign:
             environment=config.environment_factory(),
             iterations=config.iterations,
             watchdog_factor=config.watchdog_factor,
-            fast_dispatch=config.fast_dispatch,
-            incremental_hash=config.incremental_hash,
             batch_size=config.batch_size,
             environment_factory=config.environment_factory,
         )
@@ -346,16 +323,12 @@ class ScifiCampaign:
                 experiment but outcomes report in completion order.
             workers: number of worker processes.  ``1`` (default) runs
                 serially in this process; ``N > 1`` fans the live plan
-                out over N processes.  With ``locality_sort`` (default)
-                the plan is executed in injection-time order through
-                adaptively sized chunks drawn on demand (see
-                ``docs/performance.md``); with it off the plan is dealt
-                into N *strided* slices (``plan[i::N]``), which balances
-                load even when plan order correlates with experiment
-                cost.  Results are bit-identical to the serial run
-                either way (every experiment is independent and fully
-                determined by its fault), just reordered back into plan
-                order.
+                out over N processes, executed in injection-time order
+                through adaptively sized chunks drawn on demand (see
+                ``docs/performance.md``).  Results are bit-identical to
+                the serial run (every experiment is independent and
+                fully determined by its fault), just reordered back
+                into plan order.
             telemetry: optional :class:`~repro.obs.Telemetry` bundle.
                 When given, the run records phase spans, per-experiment
                 metrics and JSONL events; per-worker registries/shards
@@ -856,17 +829,15 @@ class ScifiCampaign:
         streamable = set(predicted_results)
         heartbeat_every = self.config.recovery.heartbeat_every
         started = time.perf_counter()
-        if live_plan and (self.config.batch_size > 1 or self.config.locality_sort):
-            # Pre-simulation: live faults run ahead of the plan loop —
-            # in injection-time order when locality sorting is on (so
-            # consecutive experiments restore to nearby boundaries), and
-            # in groups through the shared dispatch loop when batching
-            # is on.  The plan loop below then streams and reports the
-            # stored pairs in plan order, exactly as the one-at-a-time
-            # path would have.
+        if live_plan:
+            # Pre-simulation: live faults run ahead of the plan loop in
+            # injection-time order (so consecutive experiments restore
+            # to nearby boundaries), in groups through the shared
+            # dispatch loop when batching is on.  The plan loop below
+            # then streams and reports the stored pairs in plan order,
+            # exactly as the one-at-a-time path would have.
             pending = [(i, f) for i, f in live_plan if i not in by_index]
-            if self.config.locality_sort:
-                pending.sort(key=lambda item: item[1].time)
+            pending.sort(key=lambda item: item[1].time)
             size = self.config.batch_size
             if size > 1:
                 for start in range(0, len(pending), size):
@@ -1058,9 +1029,7 @@ class ScifiCampaign:
             iterations=config.iterations,
             watchdog_factor=config.watchdog_factor,
             environment_factory=config.environment_factory,
-            reference=(self.target.reference if config.share_reference else None),
-            fast_dispatch=config.fast_dispatch,
-            incremental_hash=config.incremental_hash,
+            reference=self.target.reference,
         )
         own_pool = pool is None
         if pool is None:
@@ -1113,31 +1082,24 @@ class ScifiCampaign:
         # remaining plan from the results table instead.
         work.purge(topic)
         lease_worker = f"pool-{os.getpid()}"
-        reservoir: deque = deque()
-        chunk_size = 0
-        if config.locality_sort:
-            # Locality-aware scheduling: the live plan is executed in
-            # injection-time order (consecutive experiments restore to
-            # nearby boundaries) and cut into contiguous chunks drawn on
-            # demand, sized so one chunk costs about
-            # ``target_chunk_seconds`` at the measured throughput — small
-            # chunks near the end keep the straggler tail short.  Chunks
-            # enter the queue as they are drawn (a targeted lease keeps
-            # an older requeued job from being claimed in their place).
-            # Plan order is restored when results arrive, so outcomes,
-            # storage and merged telemetry are unchanged.
-            reservoir.extend(sorted(live_plan, key=lambda item: item[1].time))
-            chunk_size = max(
-                policy.min_chunk_size,
-                min(
-                    policy.max_chunk_size,
-                    max(1, len(reservoir) // (workers * 8)),
-                ),
-            )
-        else:
-            for chunk_items in (live_plan[i::workers] for i in range(workers)):
-                if chunk_items:
-                    work.enqueue(list(chunk_items), topic=topic)
+        # Locality-aware scheduling: the live plan is executed in
+        # injection-time order (consecutive experiments restore to
+        # nearby boundaries) and cut into contiguous chunks drawn on
+        # demand, sized so one chunk costs about
+        # ``target_chunk_seconds`` at the measured throughput — small
+        # chunks near the end keep the straggler tail short.  Chunks
+        # enter the queue as they are drawn (a targeted lease keeps an
+        # older requeued job from being claimed in their place).  Plan
+        # order is restored when results arrive, so outcomes, storage
+        # and merged telemetry are unchanged.
+        reservoir: deque = deque(sorted(live_plan, key=lambda item: item[1].time))
+        chunk_size = max(
+            policy.min_chunk_size,
+            min(
+                policy.max_chunk_size,
+                max(1, len(reservoir) // (workers * 8)),
+            ),
+        )
         active: Dict[object, Tuple[LeasedJob, int, Optional[str]]] = {}
         submission = 0
         rebuilds = 0
@@ -1370,11 +1332,7 @@ class ScifiCampaign:
                                 replay_members(index, run, outcome)
                             if sink is not None:
                                 sink.flush()
-                            if (
-                                config.locality_sort
-                                and chunk_result
-                                and seconds > 0
-                            ):
+                            if chunk_result and seconds > 0:
                                 # Throughput feedback: aim the next chunk
                                 # at ~target_chunk_seconds of work.
                                 rate = len(chunk_result) / seconds

@@ -77,8 +77,8 @@ def _hash_state(cpu: CPU, environment: EngineEnvironment) -> bytes:
 
 def _hash_state_fresh(cpu: CPU, environment: EngineEnvironment) -> bytes:
     """:func:`_hash_state` rebuilt entirely from the live state, with no
-    cached prefix or packed images — the honest baseline used by the
-    ``incremental_hash=False`` flag and the digest-equivalence test."""
+    cached prefix or packed images — the reference implementation the
+    digest-equivalence test compares against."""
     memory = cpu.memory
     digest = hashlib.blake2b(digest_size=16)
     digest.update(memory.code.pack_fresh())
@@ -215,8 +215,6 @@ class TargetSystem:
         watchdog_factor: float = 10.0,
         warm_start: bool = True,
         metrics=None,
-        fast_dispatch: bool = True,
-        incremental_hash: bool = True,
         batch_size: int = 1,
         environment_factory: Optional[Callable[[], EngineEnvironment]] = None,
     ):
@@ -240,13 +238,6 @@ class TargetSystem:
         self._lane_pool: List[_Lane] = []
         self._lanes_unavailable = False
         self.cpu = CPU()
-        #: ``False`` pins this target's CPU to the legacy decode/execute
-        #: chain (the golden-equivalence baseline).
-        self.cpu.fast_dispatch = fast_dispatch
-        self.incremental_hash = incremental_hash
-        self._hash: Callable[[CPU, EngineEnvironment], bytes] = (
-            _hash_state if incremental_hash else _hash_state_fresh
-        )
         self.scan_chain = ScanChain(self.cpu)
         self.reference: Optional[ReferenceRun] = None
         #: Def/use liveness of the reference run, populated by
@@ -283,7 +274,7 @@ class TargetSystem:
 
     def boundary_hash(self) -> bytes:
         """The full-state digest at the current iteration boundary."""
-        return self._hash(self.cpu, self.environment)
+        return _hash_state(self.cpu, self.environment)
 
     def _warm_start_workload(self) -> None:
         """Prime the controller-state globals to the steady operating point."""
@@ -303,11 +294,11 @@ class TargetSystem:
         With ``record_access=True`` the run additionally collects the
         def/use access trace of every injectable state element (plus the
         tracked data-space memory words) and freezes it into
-        :attr:`liveness` for the campaign's fault pruning.  With fast
-        dispatch on, the CPU records through its predecoded recording
-        handlers (register accesses) and the cache/memory recorder hooks;
-        with ``fast_dispatch=False`` the traced interpreter reports every
-        access through the hooks.  Both produce the same traces.
+        :attr:`liveness` for the campaign's fault pruning.  The CPU
+        records through its predecoded recording handlers (register
+        accesses) and the cache/memory recorder hooks; with a trace hook
+        attached the traced interpreter reports every access through
+        the hooks instead.  Both produce the same traces.
         Recording changes nothing about the reference itself — the hooks
         only observe.
         """
@@ -504,7 +495,6 @@ class TargetSystem:
                 self._lanes_unavailable = True
                 return None
             cpu = CPU()
-            cpu.fast_dispatch = self.cpu.fast_dispatch
             cpu.load(self.workload.program)
             self._lane_pool.append(
                 _Lane(
@@ -543,7 +533,7 @@ class TargetSystem:
             return [self.run_experiment(fault, early_exit) for fault in faults]
 
         engine = self.batch_engine
-        hash_state = self._hash
+        hash_state = _hash_state
         iterations = self.iterations
         watchdog = int(
             reference.max_iteration_instructions * self.watchdog_factor

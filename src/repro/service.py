@@ -61,7 +61,7 @@ from repro.goofi.campaign import CampaignConfig, ScifiCampaign
 from repro.goofi.database import CampaignDatabase
 from repro.goofi.recovery import RecoveryPolicy, config_fingerprint
 from repro.goofi.workqueue import WorkQueue
-from repro.obs import CampaignStatusReducer, Telemetry
+from repro.obs import CampaignFollower, CampaignStatusReducer, Telemetry
 from repro.obs.events import SCHEMA_VERSION, now as event_now
 
 #: The queue topic campaign submissions live under.
@@ -194,25 +194,17 @@ class CampaignService:
 
         The job state always exists (status, attempt/expiry budgets, the
         live lease with its staleness); the campaign status is folded
-        from ``events.jsonl`` and is ``None`` until a worker has started
-        the campaign.
+        from ``events.jsonl`` plus the live worker shards of a parallel
+        campaign, and is ``None`` until a worker has started the
+        campaign.  A torn final line (a live or killed writer) is held
+        back by the follower, not folded.
         """
         state = self._job_state(campaign_id)
         events = self.events_path(campaign_id)
         status = None
         if os.path.exists(events):
             reducer = CampaignStatusReducer()
-            with open(events, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue  # torn tail of a live (or killed) writer
-                    if isinstance(record, dict):
-                        reducer.fold(record)
+            reducer.fold_many(CampaignFollower(events).poll())
             status = reducer.status(now=time.time())
         return state, status
 

@@ -38,9 +38,9 @@ behaviour (and identical access traces, for the two that record):
   the plain handler, so the recorded traces equal the traced chain's.
 * **traced dispatch**: the original decode + ``if``/``elif`` chain, which
   reports every access through the recorder's hook methods.  It runs
-  every instruction when a trace hook is attached or when
-  :attr:`CPU.fast_dispatch` is switched off for baseline measurements,
-  and the words the recording handlers cannot express (illegal words,
+  every instruction when a trace hook is attached (the profiler; a
+  no-op hook makes it the tests' oracle for the other two paths), and
+  the words the recording handlers cannot express (illegal words,
   out-of-range register fields) while recording.
 
 Words whose register fields fall outside the register file (possible
@@ -165,11 +165,6 @@ def _float_to_bits(value: float) -> int:
 class CPU:
     """The simulated processor (one core, data cache, Table 1 EDMs)."""
 
-    #: Class-level default; set ``cpu.fast_dispatch = False`` to force the
-    #: original decode-and-branch interpreter (baseline measurements and
-    #: the golden-equivalence tests).
-    fast_dispatch: bool = True
-
     def __init__(self, layout: MemoryLayout = MemoryLayout()):
         self.layout = layout
         self.memory = MemoryMap(layout)
@@ -189,7 +184,9 @@ class CPU:
         self.detection: Optional[DetectionEvent] = None
         self.halted = False
         self.last_svc: Optional[int] = None
-        #: Optional detail-mode hook, called with a TraceEntry per step.
+        #: Optional detail-mode hook, called with a TraceEntry per step;
+        #: while one is attached every instruction runs on the traced
+        #: decode-and-branch interpreter.
         self.trace_hook = None
         #: Optional access-trace recorder (duck-typed
         #: :class:`repro.faults.liveness.AccessRecorder`); attached only
@@ -396,11 +393,7 @@ class CPU:
             return StepResult.DETECTED
 
     def _execute(self) -> StepResult:
-        if (
-            self.recorder is None
-            and self.trace_hook is None
-            and self.fast_dispatch
-        ):
+        if self.recorder is None and self.trace_hook is None:
             word = self.ir & _U32
             handler = _PREDECODE.get(word)
             if handler is None:
@@ -652,7 +645,7 @@ class CPU:
     # -- convenience runners -----------------------------------------------------
     def run(self, max_instructions: int) -> StepResult:
         """Step until yield/halt/detection or the instruction budget ends."""
-        if self.trace_hook is not None or not self.fast_dispatch:
+        if self.trace_hook is not None:
             for _ in range(max_instructions):
                 result = self.step()
                 if result is not StepResult.OK:
@@ -1985,14 +1978,9 @@ class BatchEngine:
 
     def run(self, cpu: CPU, max_instructions: int) -> StepResult:
         """Run one lane until yield/halt/detection or budget end."""
-        if (
-            cpu.recorder is not None
-            or cpu.trace_hook is not None
-            or not cpu.fast_dispatch
-        ):
-            # Tracing lanes must observe every access (and a CPU with
-            # fast dispatch switched off is a baseline-measurement
-            # configuration): take the exact non-batched path.
+        if cpu.recorder is not None or cpu.trace_hook is not None:
+            # Tracing lanes must observe every access: take the exact
+            # non-batched path.
             return cpu.run(max_instructions)
         if cpu.detection is not None:
             return StepResult.DETECTED

@@ -202,5 +202,21 @@ class TestServiceCommands:
             ["submit", "--root", "r", "--algorithm", "II", "--prune"]
         )
         assert args.algorithm == "II" and args.prune
-        args = build_parser().parse_args(["campaign", "--no-locality-sort"])
-        assert not args.locality_sort
+        args = build_parser().parse_args(["campaign", "--batch-size", "4"])
+        assert args.batch_size == 4
+        # Every configuration flag parses identically under both commands.
+        flags = [
+            "--algorithm", "II", "--faults", "7", "--seed", "3",
+            "--iterations", "11", "--partitions", "cache", "--prune",
+            "--collapse", "--batch-size", "4", "--chaos", "{}",
+        ]
+        parsed = [
+            vars(build_parser().parse_args(command + flags))
+            for command in (["campaign"], ["submit", "--root", "r"])
+        ]
+        shared = {key for key in parsed[0] if key in parsed[1]} - {"command", "func"}
+        assert shared == {
+            "algorithm", "faults", "seed", "iterations", "partitions",
+            "prune", "collapse", "batch_size", "chaos",
+        }
+        assert {k: parsed[0][k] for k in shared} == {k: parsed[1][k] for k in shared}

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.classify import OutcomeCategory
-from repro.analysis.report import render_outcome_table
 from repro.control import GuardedPIController, PIController
 from repro.errors import CampaignError
 from repro.faults.models import FaultDescriptor, FaultTarget
@@ -23,6 +22,8 @@ from repro.obs.events import read_events
 from repro.obs.telemetry import Telemetry
 from repro.thor.memory import MMIODevice
 from repro.thor.scanchain import CACHE_PARTITION, REGISTER_PARTITION
+from tests.test_campaign_golden import campaign_digests, scifi_config
+from tests.test_campaign_golden import golden  # noqa: F401 (fixture)
 
 
 class TestEngineEnvironment:
@@ -344,20 +345,15 @@ class TestModelLevelSwifi:
         assert any(e.assertion_events > 0 for e in result.experiments)
 
 
-def _locality_config(workload, **overrides):
-    defaults = dict(
-        workload=workload, name="locality-test", faults=24, seed=5,
-        iterations=40,
-    )
-    defaults.update(overrides)
-    return CampaignConfig(**defaults)
-
-
 class TestLocalityScheduling:
+    """Live faults execute in injection-time order; results must still
+    stream back in plan order and equal the golden fixture, whose rows
+    were taken with plan-order execution."""
+
     def test_serial_events_stay_in_plan_order(self, algorithm_i_compiled, tmp_path):
         path = str(tmp_path / "events.jsonl")
         telemetry = Telemetry(events_path=path)
-        config = _locality_config(algorithm_i_compiled, locality_sort=True)
+        config = scifi_config("I", algorithm_i_compiled)
         ScifiCampaign(config).run(telemetry=telemetry)
         telemetry.close()
         records = [
@@ -366,45 +362,37 @@ class TestLocalityScheduling:
         assert [e["index"] for e in records] == list(range(config.faults))
 
     def test_time_sorted_chunks_match_plan_order_results(
-        self, algorithm_i_compiled, tmp_path
+        self, algorithm_i_compiled, golden, tmp_path
     ):
         """Chunks are drawn in injection-time order, but results stream
-        back in plan order and match the locality-off campaign exactly —
+        back in plan order and match the plan-order fixture exactly —
         serial and workers=2."""
-        baseline = ScifiCampaign(
-            _locality_config(algorithm_i_compiled, locality_sort=False)
-        ).run()
+        config = scifi_config("I", algorithm_i_compiled)
         for workers in (1, 2):
             path = str(tmp_path / f"events-{workers}.jsonl")
             telemetry = Telemetry(events_path=path)
-            result = ScifiCampaign(
-                _locality_config(algorithm_i_compiled, locality_sort=True)
-            ).run(workers=workers, telemetry=telemetry)
-            telemetry.close()
-            assert result.outcomes == baseline.outcomes
-            assert render_outcome_table(result.summary()) == render_outcome_table(
-                baseline.summary()
+            result = ScifiCampaign(config).run(
+                workers=workers, telemetry=telemetry
             )
+            telemetry.close()
+            assert campaign_digests(result) == golden["I"]["scifi"]
             records = [
                 e
                 for e in read_events(path)
                 if e["event"] == "experiment_finished"
             ]
-            assert [e["index"] for e in records] == list(range(24))
+            assert [e["index"] for e in records] == list(range(config.faults))
 
-    def test_adaptive_chunk_bounds(self, algorithm_i_compiled):
+    def test_adaptive_chunk_bounds(self, algorithm_i_compiled, golden):
         """Tiny chunk bounds still complete the plan correctly (and
-        exercise the resize path: 24 faults at max_chunk_size=2 means
+        exercise the resize path: 40 faults at max_chunk_size=2 means
         many draws)."""
-        config = _locality_config(
+        config = scifi_config(
+            "I",
             algorithm_i_compiled,
-            locality_sort=True,
             recovery=RecoveryPolicy(
                 min_chunk_size=1, max_chunk_size=2, target_chunk_seconds=0.01
             ),
         )
-        baseline = ScifiCampaign(
-            _locality_config(algorithm_i_compiled, locality_sort=False)
-        ).run()
         result = ScifiCampaign(config).run(workers=2)
-        assert result.outcomes == baseline.outcomes
+        assert campaign_digests(result) == golden["I"]["scifi"]

@@ -2,11 +2,14 @@
 
 The optimisations under test — predecoded dispatch tables, incremental
 boundary hashing, and the shared reference run across campaign workers —
-must not change a single observable outcome.  Every test here compares
-the optimised configuration against the corresponding baseline flag
-(``fast_dispatch=False``, ``incremental_hash=False``,
-``share_reference=False``, serial vs. parallel) and requires
-bit-identical hashes, outcomes and summary tables.
+must not change a single observable outcome.  The tests here compare
+the optimised paths against an oracle and require bit-identical hashes,
+outcomes and summary tables.  The oracles are the traced
+decode-and-branch interpreter (selected by attaching a no-op trace
+hook), :func:`~repro.goofi.target._hash_state_fresh` (digests rebuilt
+from scratch), the serial run, and the committed golden fixture of
+``tests/test_campaign_golden.py``, whose digests were taken with every
+pre-optimisation path in force.
 """
 
 import struct
@@ -24,6 +27,15 @@ from repro.thor.cpu import CPU, PSW_MASK, StepResult
 from repro.thor.edm import _detection_listeners
 from repro.thor.scanchain import CACHE_PARTITION, REGISTER_PARTITION, ScanChain
 from repro.workloads import compile_algorithm_i, compile_algorithm_ii
+from tests.test_campaign_golden import (
+    ITERATIONS as GOLDEN_ITERATIONS,
+    PRERUN_FAULTS,
+    SEED,
+    _sha256,
+    experiment_rows,
+    trace_nothing,
+)
+from tests.test_campaign_golden import golden  # noqa: F401 (fixture)
 
 ITER = 60
 FAULTS = 40
@@ -34,15 +46,17 @@ def workload():
     return compile_algorithm_ii()
 
 
-def _reference(workload, **kwargs):
-    target = TargetSystem(workload, iterations=ITER, **kwargs)
+def _reference(workload, traced=False):
+    target = TargetSystem(workload, iterations=ITER)
+    if traced:
+        target.cpu.trace_hook = trace_nothing
     return target, target.run_reference()
 
 
 class TestDispatchEquivalence:
     def test_reference_run_bit_identical(self, workload):
-        _fast_t, fast = _reference(workload, fast_dispatch=True)
-        _legacy_t, legacy = _reference(workload, fast_dispatch=False)
+        _fast_t, fast = _reference(workload)
+        _legacy_t, legacy = _reference(workload, traced=True)
         assert fast.hashes == legacy.hashes
         assert fast.outputs == legacy.outputs
         assert fast.instructions_at == legacy.instructions_at
@@ -58,9 +72,11 @@ class TestDispatchEquivalence:
                 workload=workload,
                 faults=FAULTS,
                 iterations=ITER,
-                fast_dispatch=fast,
             )
-            results[fast] = ScifiCampaign(config).run()
+            campaign = ScifiCampaign(config)
+            if not fast:
+                campaign.target.cpu.trace_hook = trace_nothing
+            results[fast] = campaign.run()
         assert results[True].outcomes == results[False].outcomes
         for a, b in zip(results[True].experiments, results[False].experiments):
             assert a.outputs == b.outputs
@@ -75,16 +91,15 @@ class TestDispatchEquivalence:
             results[True].summary()
         ) == render_outcome_table(results[False].summary())
 
-    def test_prerun_outcomes_bit_identical(self, workload):
-        runs = {
-            fast: PreRuntimeCampaign(
-                workload, iterations=ITER, fast_dispatch=fast
-            ).run(12)
-            for fast in (True, False)
-        }
-        assert runs[True].outcomes == runs[False].outcomes
-        for a, b in zip(runs[True].experiments, runs[False].experiments):
-            assert a.outputs == b.outputs
+    def test_prerun_outcomes_bit_identical(self, workload, golden):
+        # Every pre-runtime experiment builds its own target, so no trace
+        # hook can reach it: the fixture (taken on the traced
+        # interpreter) is the oracle.
+        assert ITER == GOLDEN_ITERATIONS
+        result = PreRuntimeCampaign(workload, iterations=ITER).run(
+            PRERUN_FAULTS, seed=SEED
+        )
+        assert _sha256(experiment_rows(result)) == golden["II"]["prerun"]
 
 
 class TestIncrementalHashEquivalence:
@@ -122,28 +137,15 @@ class TestIncrementalHashEquivalence:
         assert cpu.run(10_000) is StepResult.YIELD
         check("after resumed execution")
 
-    def test_campaign_outcomes_identical_with_flag_off(self, workload):
-        results = {}
-        for incremental in (True, False):
-            config = CampaignConfig(
-                workload=workload,
-                faults=FAULTS,
-                iterations=ITER,
-                incremental_hash=incremental,
-            )
-            results[incremental] = ScifiCampaign(config).run()
-        assert results[True].outcomes == results[False].outcomes
-        for a, b in zip(results[True].experiments, results[False].experiments):
-            assert a.early_exit_iteration == b.early_exit_iteration
-            assert a.final_state_differs == b.final_state_differs
-        assert render_outcome_table(
-            results[True].summary()
-        ) == render_outcome_table(results[False].summary())
-
-    def test_reference_hashes_identical_with_flag_off(self, workload):
-        _t1, incremental = _reference(workload, incremental_hash=True)
-        _t2, fresh = _reference(workload, incremental_hash=False)
-        assert incremental.hashes == fresh.hashes
+    def test_reference_hashes_match_fresh(self, workload):
+        """Every boundary digest of the reference run equals the
+        from-scratch digest of the restored boundary state."""
+        target, reference = _reference(workload)
+        fresh = []
+        for snapshot in reference.snapshots:
+            target._restore(snapshot)
+            fresh.append(_hash_state_fresh(target.cpu, target.environment))
+        assert reference.hashes == fresh
 
 
 class TestSharedReferenceEquivalence:
@@ -151,18 +153,11 @@ class TestSharedReferenceEquivalence:
         config = CampaignConfig(workload=workload, faults=FAULTS, iterations=ITER)
         serial = ScifiCampaign(config).run()
         shared = ScifiCampaign(config).run(workers=2)
-        unshared = ScifiCampaign(
-            CampaignConfig(
-                workload=workload,
-                faults=FAULTS,
-                iterations=ITER,
-                share_reference=False,
-            )
-        ).run(workers=2)
-        assert serial.outcomes == shared.outcomes == unshared.outcomes
-        table = render_outcome_table(serial.summary())
-        assert table == render_outcome_table(shared.summary())
-        assert table == render_outcome_table(unshared.summary())
+        assert serial.outcomes == shared.outcomes
+        assert experiment_rows(serial) == experiment_rows(shared)
+        assert render_outcome_table(serial.summary()) == render_outcome_table(
+            shared.summary()
+        )
 
     def test_persistent_pool_reused_across_runs(self, workload):
         config = CampaignConfig(workload=workload, faults=20, iterations=ITER)
@@ -287,7 +282,7 @@ class TestLocate:
 class TestAlgorithmIStillEquivalent:
     def test_algorithm_i_fast_vs_legacy(self):
         workload = compile_algorithm_i()
-        _t1, fast = _reference(workload, fast_dispatch=True)
-        _t2, legacy = _reference(workload, fast_dispatch=False)
+        _t1, fast = _reference(workload)
+        _t2, legacy = _reference(workload, traced=True)
         assert fast.hashes == legacy.hashes
         assert fast.outputs == legacy.outputs

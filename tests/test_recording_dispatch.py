@@ -1,10 +1,10 @@
 """Differential tests: the predecoded recording loop against the traced chain.
 
-With an :class:`AccessRecorder` attached and fast dispatch on,
+With an :class:`AccessRecorder` attached and no trace hook,
 :meth:`CPU.run` executes through per-word recording handlers built from
-``_ACCESSES``; with ``fast_dispatch=False`` it executes through the
-traced decode-and-branch chain, which reports every access through the
-recorder's hook methods.  Each test here runs one instruction from the
+``_ACCESSES``; with a (no-op) trace hook attached it executes through
+the traced decode-and-branch chain, which reports every access through
+the recorder's hook methods.  Each test here runs one instruction from the
 same machine state through both paths and requires the same result, the
 same final machine state and the same per-element access traces.
 """
@@ -270,12 +270,17 @@ DETECTING: List[Case] = [
 ]
 
 
+def _trace_nothing(_entry) -> None:
+    """Attaching any trace hook selects the traced chain."""
+
+
 def _record(word: int, setup: Callable[[CPU], None], fast: bool):
     cpu = CPU(LAYOUT)
     cpu.load(Program(code=(word,), entry=CODE))
     setup(cpu)
     cpu.instruction_index = NOW
-    cpu.fast_dispatch = fast
+    if not fast:
+        cpu.trace_hook = _trace_nothing
     recorder = AccessRecorder()
     cpu.recorder = cpu.cache.recorder = cpu.memory.recorder = recorder
     result = cpu.run(1)

@@ -20,6 +20,8 @@ import pytest
 import repro
 from repro.errors import ServiceError
 from repro.goofi import CampaignConfig, CampaignDatabase, RecoveryPolicy
+from repro.obs.events import EventLog
+from repro.obs.telemetry import campaign_started_event
 from repro.service import (
     CAMPAIGN_TOPIC,
     CampaignService,
@@ -75,6 +77,31 @@ def test_status_lines_and_unknown_campaign(tmp_path, algorithm_i_compiled):
             service.status(campaign_id + 7)
         with pytest.raises(ServiceError):
             service.cancel(campaign_id + 7)
+
+
+def test_status_counts_live_worker_shards(tmp_path, algorithm_i_compiled):
+    """A parallel campaign's experiment records live in its worker shards
+    until the end-of-run merge; the service status must count them."""
+    with _service(tmp_path) as service:
+        config = _config(algorithm_i_compiled)
+        campaign_id = service.submit_campaign(config, workers=2)
+        events = service.events_path(campaign_id)
+        os.makedirs(os.path.dirname(events))
+        with EventLog(events) as log:
+            log.emit("campaign_started", **campaign_started_event(config, 2))
+        with open(events, "a", encoding="utf-8") as handle:
+            handle.write('{"schema_version": 1, "event": "experi')  # torn tail
+        with EventLog(events + ".shard1") as shard:
+            for index in range(3):
+                shard.emit(
+                    "experiment_finished",
+                    index=index,
+                    category="detected",
+                    mechanism="CONTROL_FLOW_ERROR",
+                )
+        _state, status = service.status_snapshot(campaign_id)
+        assert status.state == "running"
+        assert status.done == 3
 
 
 def test_cancel_pending_submission(tmp_path, algorithm_i_compiled):

@@ -124,7 +124,9 @@ class TestPredecodeUnderIRFaults:
         cpus = []
         for fast in (True, False):
             cpu = CPU()
-            cpu.fast_dispatch = fast
+            if not fast:
+                # Any trace hook selects the legacy chain.
+                cpu.trace_hook = lambda _entry: None
             cpu.load(program)
             for _ in range(steps):
                 assert cpu.step() is StepResult.OK
