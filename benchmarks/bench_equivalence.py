@@ -1,14 +1,14 @@
-"""Benchmark: equivalence collapse + batched multi-fault execution.
+"""Benchmark: pruning + equivalence collapse against the plain baseline.
 
-Runs the full shortcut stack (pruning, equivalence collapse, batched
-dispatch) against the classic baseline (no pruning, no collapse, batch
-size 1) on the default 500-fault campaign and gates three things:
+Runs the full shortcut stack (pruning and equivalence collapse) against
+the classic baseline (no pruning, no collapse) on the default 500-fault
+campaign and gates three things:
 
 1. the injection-phase wall-clock speedup of the full stack is >= 2x,
 2. the full stack is outcome-equivalent (zero per-experiment
    mismatches, byte-identical summary tables),
-3. collapse and batching *individually* pass the same equivalence
-   check — a divergence introduced by one cannot hide behind the other.
+3. collapse alone (no pruning) passes the same equivalence check — a
+   divergence introduced by collapse cannot hide behind pruning.
 
 Both timed legs run after a throwaway warm-up campaign (see
 ``repro.goofi.pruning._warm_up``), so neither pays the cold-start tax.
@@ -23,10 +23,6 @@ from _common import bench_faults, bench_iterations, emit
 from repro.goofi import CampaignConfig, validate_collapse
 from repro.goofi.pruning import _validate, replace
 from repro.workloads import compile_algorithm_i
-
-#: Lanes per batched dispatch loop; 8 keeps every lane's working set in
-#: cache for the default workload while amortising decode/dispatch.
-BATCH_SIZE = 8
 
 #: The >= 2x gate holds at the default 500-fault / 650-iteration size.
 #: CI runs a downsized campaign (REPRO_BENCH_FAULTS / _ITERATIONS) whose
@@ -43,23 +39,16 @@ def _config():
         name="equivalence bench",
         faults=bench_faults(),
         iterations=bench_iterations(),
-        batch_size=BATCH_SIZE,
     )
 
 
 def _measure():
     config = _config()
-    # Full stack: prune + collapse + batch against the plain baseline.
+    # Full stack: prune + collapse against the plain baseline.
     full = validate_collapse(config)
-    # Collapse alone (batch_size 1): same equivalence gate.
-    collapse_only = validate_collapse(replace(config, batch_size=1))
-    # Batching alone (no pruning, no collapse): same equivalence gate.
-    batch_only = _validate(
-        replace(config, prune=False, collapse=False),
-        replace(config, prune=False, collapse=False, batch_size=1),
-        workers=1,
-    )
-    return full, collapse_only, batch_only
+    # Collapse alone (no pruning): same equivalence gate.
+    collapse_only = _validate(replace(config, collapse=True), config, workers=1)
+    return full, collapse_only
 
 
 def _leg(report):
@@ -75,7 +64,7 @@ def _leg(report):
 
 
 def test_equivalence_speedup(benchmark):
-    full, collapse_only, batch_only = benchmark.pedantic(
+    full, collapse_only = benchmark.pedantic(
         _measure, rounds=1, iterations=1
     )
     speedup = (
@@ -87,12 +76,10 @@ def test_equivalence_speedup(benchmark):
     gate = FULL_SIZE_GATE if full_size else REDUCED_SIZE_GATE
     payload = {
         "faults": full.faults,
-        "batch_size": BATCH_SIZE,
         "speedup_gate": gate,
         "speedup": round(speedup, 2) if speedup else None,
         "full_stack": _leg(full),
         "collapse_only": _leg(collapse_only),
-        "batch_only": _leg(batch_only),
     }
     emit(
         "BENCH_equivalence.json",
@@ -100,11 +87,10 @@ def test_equivalence_speedup(benchmark):
     )
     emit("equivalence_validation.txt", full.render())
 
-    # Each shortcut individually, and the stack as a whole, must change
-    # nothing observable.
+    # Collapse alone, and the stack as a whole, must change nothing
+    # observable.
     assert full.ok, full.render()
     assert collapse_only.ok, collapse_only.render()
-    assert batch_only.ok, batch_only.render()
     # The headline gate: the full stack halves injection wall time (at
     # the default campaign size; reduced CI sizes gate lower).
     assert speedup is not None and speedup >= gate, payload

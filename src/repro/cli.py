@@ -112,7 +112,6 @@ def _config_from_args(args: argparse.Namespace) -> CampaignConfig:
         partitions=args.partitions,
         prune=args.prune,
         collapse=args.collapse,
-        batch_size=args.batch_size,
         chaos=chaos,
     )
 
@@ -666,14 +665,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         "(see docs/performance.md)",
     )
     parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=1,
-        metavar="K",
-        help="live faults simulated concurrently through one shared "
-        "dispatch loop (default: 1, classic one-at-a-time execution)",
-    )
-    parser.add_argument(
         "--chaos",
         default=None,
         metavar="JSON",
@@ -732,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--validate-collapse",
         action="store_true",
-        help="run the campaign with pruning+collapse+batching and "
+        help="run the campaign with pruning+collapse and "
         "against the plain baseline; fail (exit 1) unless every "
         "per-experiment outcome matches",
     )

@@ -99,11 +99,10 @@ class CampaignConfig:
             simulate one representative per class and replay its result
             for the rest (``provenance='equivalent'``).  Also records
             the access trace.  Off by default.
-        batch_size: live faults simulated concurrently through one
-            shared dispatch loop (each on its own lane of CPU/cache/
-            environment state); ``1`` (default) pins the classic one-
-            at-a-time execution.  Like ``collapse``, proven outcome-
-            invariant by the golden-equivalence gate.
+        batch_size: accepted and validated (it must be positive) but
+            changes nothing: every experiment runs one at a time on the
+            target's :meth:`~repro.thor.cpu.CPU.run`.  It stays only
+            because the benchmark in ``perfbench/`` still sets it.
         environment_factory: builds the environment simulator.
         recovery: retry/backoff/quarantine policy of the crash-safety
             machinery (``docs/robustness.md``); never affects outcomes,
@@ -184,10 +183,8 @@ def _run_chunk(args):
     target system built by the pool initializer from the golden run the
     parent computed once and shipped, so no reference run happens here.
     ``chunk`` carries ``(plan index, fault)`` pairs so telemetry can be
-    re-ordered into plan order afterwards.  With ``batch_size > 1`` the chunk is cut
-    into groups of that size and each group runs through the target's
-    shared-dispatch batch engine — outcome-identical to one-at-a-time
-    execution, just cheaper per instruction.
+    re-ordered into plan order afterwards; its experiments run one at a
+    time, in chunk order.
 
     When telemetry is enabled the worker records into its own
     :class:`~repro.obs.MetricsRegistry` (returned as a dict for the
@@ -209,7 +206,6 @@ def _run_chunk(args):
         early_exit,
         chaos,
         heartbeat_every,
-        batch_size,
     ) = args
     registry = MetricsRegistry() if metrics_enabled else None
     events = EventLog(shard_path) if shard_path else None
@@ -217,48 +213,38 @@ def _run_chunk(args):
     started = time.perf_counter()
     results = []
     # The worker process outlives this chunk; reset the metrics binding
-    # (and the per-chunk batch size) afterwards so neither leaks into
-    # the next phase.
+    # afterwards so it does not leak into the next phase.
     target.metrics = registry
-    previous_batch = target.batch_size
-    target.batch_size = max(1, int(batch_size))
     try:
         reference_outputs = target.reference.outputs
-        group_size = target.batch_size
-        for start in range(0, len(chunk), group_size):
-            group = chunk[start : start + group_size]
-            for index, _fault in group:
-                chaos_maybe_crash(chaos, index)
-            runs = target.run_experiment_batch(
-                [fault for _index, fault in group], early_exit
-            )
-            for (index, fault), run in zip(group, runs):
-                outcome = ScifiCampaign._classify(run, reference_outputs)
-                if registry is not None:
-                    record_outcome(registry, run, outcome)
-                if events is not None:
+        for index, fault in chunk:
+            chaos_maybe_crash(chaos, index)
+            run = target.run_experiment(fault, early_exit)
+            outcome = ScifiCampaign._classify(run, reference_outputs)
+            if registry is not None:
+                record_outcome(registry, run, outcome)
+            if events is not None:
+                events.emit(
+                    "experiment_finished",
+                    **experiment_event(index, run, outcome),
+                )
+                done = len(results) + 1
+                if done == len(chunk) or (
+                    heartbeat_every and done % heartbeat_every == 0
+                ):
                     events.emit(
-                        "experiment_finished",
-                        **experiment_event(index, run, outcome),
+                        "worker_heartbeat",
+                        **heartbeat_event(
+                            worker=submission_id,
+                            done=done,
+                            total=len(chunk),
+                            seconds=time.perf_counter() - started,
+                        ),
                     )
-                    done = len(results) + 1
-                    if done == len(chunk) or (
-                        heartbeat_every and done % heartbeat_every == 0
-                    ):
-                        events.emit(
-                            "worker_heartbeat",
-                            **heartbeat_event(
-                                worker=submission_id,
-                                done=done,
-                                total=len(chunk),
-                                seconds=time.perf_counter() - started,
-                            ),
-                        )
-                        events.flush()
-                results.append((index, run, outcome))
+                    events.flush()
+            results.append((index, run, outcome))
     finally:
         target.metrics = None
-        target.batch_size = previous_batch
     if events is not None:
         events.close()
     seconds = time.perf_counter() - started
@@ -285,8 +271,6 @@ class ScifiCampaign:
             environment=config.environment_factory(),
             iterations=config.iterations,
             watchdog_factor=config.watchdog_factor,
-            batch_size=config.batch_size,
-            environment_factory=config.environment_factory,
         )
         # Streaming-persistence state of the in-flight run, used by the
         # abort path to flush and mark the campaign resumable.
@@ -783,30 +767,6 @@ class ScifiCampaign:
             by_index[m_index] = (m_run, outcome)
             streamable.add(m_index)
 
-    def _run_batch_recovered(
-        self, group, reference_outputs, telemetry
-    ) -> List[Tuple[ExperimentRun, Outcome]]:
-        """One batched group with the same failure semantics as the
-        per-experiment path: any failure (chaos included) falls back to
-        :meth:`_run_one_recovered` per fault, which owns all retry,
-        backoff and quarantine accounting."""
-        chaos = self.config.chaos
-        try:
-            if chaos is not None and chaos.mode == "raise":
-                for index, _fault in group:
-                    chaos_maybe_crash(chaos, index)
-            runs = self.target.run_experiment_batch(
-                [fault for _index, fault in group], self.config.early_exit
-            )
-        except KeyboardInterrupt:
-            raise
-        except Exception:
-            return [
-                self._run_one_recovered(index, fault, reference_outputs, telemetry)
-                for index, fault in group
-            ]
-        return [(run, self._classify(run, reference_outputs)) for run in runs]
-
     def _run_serial(
         self,
         plan,
@@ -824,43 +784,27 @@ class ScifiCampaign:
         by_index.update(predicted_results)
         equivalence_classes = equivalence_classes or {}
         # Indices the sink must store besides the freshly simulated
-        # ones: predictions, batched pre-simulations, equivalence
-        # replays.
+        # ones: predictions, pre-simulations, equivalence replays.
         streamable = set(predicted_results)
         heartbeat_every = self.config.recovery.heartbeat_every
         started = time.perf_counter()
         if live_plan:
             # Pre-simulation: live faults run ahead of the plan loop in
             # injection-time order (so consecutive experiments restore
-            # to nearby boundaries), in groups through the shared
-            # dispatch loop when batching is on.  The plan loop below
-            # then streams and reports the stored pairs in plan order,
-            # exactly as the one-at-a-time path would have.
+            # to nearby boundaries).  The plan loop below then streams
+            # and reports the stored pairs in plan order, exactly as a
+            # plan-order run would have.
             pending = [(i, f) for i, f in live_plan if i not in by_index]
             pending.sort(key=lambda item: item[1].time)
-            size = self.config.batch_size
-            if size > 1:
-                for start in range(0, len(pending), size):
-                    group = pending[start : start + size]
-                    pairs = self._run_batch_recovered(
-                        group, reference.outputs, telemetry
-                    )
-                    for (i, _fault), pair in zip(group, pairs):
-                        by_index[i] = pair
-                        streamable.add(i)
-                        self._replay_equivalents(
-                            i, pair[0], pair[1], equivalence_classes, by_index, streamable
-                        )
-            else:
-                for i, fault in pending:
-                    pair = self._run_one_recovered(
-                        i, fault, reference.outputs, telemetry
-                    )
-                    by_index[i] = pair
-                    streamable.add(i)
-                    self._replay_equivalents(
-                        i, pair[0], pair[1], equivalence_classes, by_index, streamable
-                    )
+            for i, fault in pending:
+                pair = self._run_one_recovered(
+                    i, fault, reference.outputs, telemetry
+                )
+                by_index[i] = pair
+                streamable.add(i)
+                self._replay_equivalents(
+                    i, pair[0], pair[1], equivalence_classes, by_index, streamable
+                )
         for i, fault in enumerate(plan):
             pair = by_index.get(i)
             fresh = pair is None
@@ -1214,7 +1158,6 @@ class ScifiCampaign:
                 config.early_exit,
                 config.chaos,
                 policy.heartbeat_every,
-                config.batch_size,
             )
             try:
                 future = pool.submit(_run_chunk, args)

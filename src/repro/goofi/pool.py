@@ -58,7 +58,6 @@ def _initialize_worker(payload: WorkerPayload) -> None:
         environment=payload.environment_factory(),
         iterations=payload.iterations,
         watchdog_factor=payload.watchdog_factor,
-        environment_factory=payload.environment_factory,
     )
     target.cpu.load(payload.workload.program)
     target.reference = payload.reference

@@ -415,12 +415,12 @@ def validate_pruning(config, workers: int = 1) -> ValidationReport:
 def validate_collapse(config, workers: int = 1) -> ValidationReport:
     """Validate the full shortcut stack against the plain baseline.
 
-    The candidate leg runs with pruning, equivalence collapse and the
-    configured batch size; the baseline leg disables all three
-    (``prune=False, collapse=False, batch_size=1``).  The comparison is
-    the same total-equivalence check as :func:`validate_pruning` — any
-    outcome divergence or summary-table difference fails it.
+    The candidate leg runs with pruning and equivalence collapse; the
+    baseline leg disables both (``prune=False, collapse=False``).  The
+    comparison is the same total-equivalence check as
+    :func:`validate_pruning` — any outcome divergence or summary-table
+    difference fails it.
     """
     candidate = replace(config, prune=True, collapse=True)
-    baseline = replace(config, prune=False, collapse=False, batch_size=1)
+    baseline = replace(config, prune=False, collapse=False)
     return _validate(candidate, baseline, workers)

@@ -136,9 +136,9 @@ def config_fingerprint(config) -> Dict[str, object]:
     included: the workload image, fault count, seed, iteration count,
     partition restriction and watchdog factor.  Options proven
     outcome-invariant by the equivalence tests (``early_exit``,
-    ``prune``, ``collapse``, ``batch_size``) may differ between the
-    original and the resumed run without affecting bit-identity of the
-    summary.  Fields removed from the configuration were never part of
+    ``prune``, ``collapse``) and ``batch_size``, which changes nothing,
+    may differ between the original and the resumed run without
+    affecting bit-identity of the summary.  Fields removed from the configuration were never part of
     the fingerprint, so databases written with them resume unchanged.
     """
     return {

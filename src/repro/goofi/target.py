@@ -33,8 +33,7 @@ from repro.faults.models import FaultDescriptor
 from repro.goofi.environment import EngineEnvironment
 from repro.tcc.codegen import CompiledProgram
 from repro.obs.metrics import DETECTION_LATENCY_BUCKETS, INSTRUCTIONS_BUCKETS
-from repro.plant.engine import EngineModel
-from repro.thor.cpu import CPU, BatchEngine, StepResult
+from repro.thor.cpu import CPU, StepResult
 from repro.thor.edm import DetectionEvent, add_detection_listener
 from repro.thor.scanchain import ScanChain
 
@@ -90,14 +89,6 @@ def _hash_state_fresh(cpu: CPU, environment: EngineEnvironment) -> bytes:
     digest.update(memory.mmio.state_bytes())
     digest.update(environment.state_bytes())
     return digest.digest()
-
-
-def _seat(
-    cpu: CPU, environment: EngineEnvironment, snapshot: Dict[str, object]
-) -> None:
-    """Put one machine (the primary or a batch lane) at a checkpoint."""
-    cpu.restore(snapshot["cpu"])  # type: ignore[arg-type]
-    environment.restore(snapshot["env"])  # type: ignore[arg-type]
 
 
 @dataclass
@@ -188,22 +179,6 @@ WARM_STATE_NAMES = ("x", "x_old", "u_old")
 WARM_MEASUREMENT_NAMES = ("y_prev", "yp_old")
 
 
-@dataclass
-class _Lane:
-    """One batch lane: an independent machine + environment replica.
-
-    The lanes of a batch differ only in mutable state (registers, PSW,
-    cache line arrays, RAM images, engine state) — the program, decode
-    tables and reference data are shared — so a :class:`TargetSystem`
-    holding K lanes is the structure-of-arrays form of K faulty
-    executions, all driven through one :class:`BatchEngine` loop.
-    """
-
-    cpu: CPU
-    environment: EngineEnvironment
-    scan_chain: ScanChain
-
-
 class TargetSystem:
     """The complete fault-injection target."""
 
@@ -215,8 +190,6 @@ class TargetSystem:
         watchdog_factor: float = 10.0,
         warm_start: bool = True,
         metrics=None,
-        batch_size: int = 1,
-        environment_factory: Optional[Callable[[], EngineEnvironment]] = None,
     ):
         if iterations <= 0:
             raise CampaignError("iterations must be positive")
@@ -225,18 +198,6 @@ class TargetSystem:
         self.iterations = iterations
         self.watchdog_factor = watchdog_factor
         self.warm_start = warm_start
-        #: Lanes per :meth:`run_experiment_batch` call; 1 disables
-        #: batching (every experiment runs on the primary machine).
-        self.batch_size = max(1, int(batch_size))
-        #: Builds additional environment replicas for batch lanes.  When
-        #: ``None``, plain :class:`EngineEnvironment` instances are
-        #: cloned structurally; custom environment subclasses without a
-        #: factory make :meth:`run_experiment_batch` fall back to
-        #: serial per-fault execution.
-        self.environment_factory = environment_factory
-        self.batch_engine = BatchEngine()
-        self._lane_pool: List[_Lane] = []
-        self._lanes_unavailable = False
         self.cpu = CPU()
         self.scan_chain = ScanChain(self.cpu)
         self.reference: Optional[ReferenceRun] = None
@@ -370,10 +331,11 @@ class TargetSystem:
         }
 
     def _restore(self, snapshot: Dict[str, object]) -> None:
-        _seat(self.cpu, self.environment, snapshot)
+        self.cpu.restore(snapshot["cpu"])  # type: ignore[arg-type]
+        self.environment.restore(snapshot["env"])  # type: ignore[arg-type]
 
     def restore_boundary(self, boundary: int) -> None:
-        """Seat the primary machine at reference boundary ``boundary``.
+        """Seat the machine at reference boundary ``boundary``.
 
         The supported entry point for snapshot consumers (detail replay,
         lockstep, memory-fault experiments).  It is a full restore of
@@ -423,12 +385,10 @@ class TargetSystem:
 
         # Replay the fault-free prefix of the injection iteration.
         replay = fault.time - reference.instructions_at[start_iteration]
-        for _ in range(replay):
-            result = cpu.step()
-            if result is StepResult.DETECTED:
-                raise CampaignError(
-                    f"detection during fault-free replay: {cpu.detection}"
-                )
+        if cpu.run(replay) is not StepResult.OK:
+            raise CampaignError(
+                f"detection during fault-free replay: {cpu.detection}"
+            )
 
         # Inject: read the chain, invert the bit(s), write it back.
         # Multi-bit fault models expose several targets at one instant.
@@ -467,147 +427,13 @@ class TargetSystem:
         run.final_state_differs = self.boundary_hash() != reference.hashes[-1]
         return run
 
-    # -- batched experiments -------------------------------------------------------
-    def _clone_environment(self) -> Optional[EngineEnvironment]:
-        if self.environment_factory is not None:
-            return self.environment_factory()
-        env = self.environment
-        if type(env) is EngineEnvironment:
-            # The profiles are stateless lookup tables and the engine's
-            # mutable state is overwritten by every snapshot restore, so
-            # a structural clone behaves identically.
-            return EngineEnvironment(
-                engine=EngineModel(env.engine.params),
-                reference=env.reference,
-                load=env.load,
-                warm_start=env.warm_start,
-            )
-        return None
-
-    def _lanes(self, count: int) -> Optional[List[_Lane]]:
-        """Up to ``count`` ready lanes, or None when the environment
-        cannot be replicated (no factory, custom subclass)."""
-        if self._lanes_unavailable:
-            return None
-        while len(self._lane_pool) < count:
-            env = self._clone_environment()
-            if env is None:
-                self._lanes_unavailable = True
-                return None
-            cpu = CPU()
-            cpu.load(self.workload.program)
-            self._lane_pool.append(
-                _Lane(
-                    cpu=cpu,
-                    environment=env,
-                    scan_chain=ScanChain(cpu),
-                )
-            )
-        return self._lane_pool[:count]
-
     def run_experiment_batch(
         self, faults: List[FaultDescriptor], early_exit: bool = True
     ) -> List[ExperimentRun]:
-        """Run several experiments through one shared dispatch loop.
+        """:meth:`run_experiment` for each fault in turn.
 
-        Up to :attr:`batch_size` faults execute concurrently, each on
-        its own lane (private registers/cache/RAM/engine state), with
-        every lane's next control iteration dispatched through the same
-        :class:`BatchEngine`.  Interleaving iterations of independent
-        lanes changes nothing observable per experiment — results are
-        identical, field for field, to :meth:`run_experiment` run
-        serially; only the order of global detection-listener callbacks
-        across *different* experiments changes (all consumers aggregate
-        per experiment or order-insensitively).
+        No campaign path calls this.  It stays only because the
+        benchmark in ``perfbench/`` looks it up by name (its set-up
+        probe and its per-layer ledger).
         """
-        reference = self.reference
-        if reference is None:
-            raise CampaignError("run_reference() must come first")
-        faults = list(faults)
-        lanes = (
-            self._lanes(min(self.batch_size, len(faults)))
-            if self.batch_size > 1 and len(faults) > 1
-            else None
-        )
-        if not lanes:
-            return [self.run_experiment(fault, early_exit) for fault in faults]
-
-        engine = self.batch_engine
-        hash_state = _hash_state
-        iterations = self.iterations
-        watchdog = int(
-            reference.max_iteration_instructions * self.watchdog_factor
-        ) + 500
-        results: List[Optional[ExperimentRun]] = [None] * len(faults)
-        free = list(lanes)
-        next_index = 0
-        # Active slots: [lane, result_index, run, outputs, k] per
-        # in-flight experiment, stepped round-robin one iteration at a
-        # time so the lanes share the dispatch loop's warm state.
-        active: List[List[object]] = []
-
-        def _start(lane: _Lane, index: int) -> List[object]:
-            fault = faults[index]
-            start_iteration = reference.locate(fault.time)
-            _seat(lane.cpu, lane.environment, reference.snapshots[start_iteration])
-            replay = fault.time - reference.instructions_at[start_iteration]
-            if replay:
-                result = engine.run(lane.cpu, replay)
-                if result is not StepResult.OK:
-                    raise CampaignError(
-                        f"detection during fault-free replay: {lane.cpu.detection}"
-                    )
-            for target in fault.targets:
-                lane.scan_chain.flip(target)
-            outputs: List[float] = reference.outputs[:start_iteration]
-            run = ExperimentRun(fault=fault, outputs=outputs)
-            return [lane, index, run, outputs, start_iteration]
-
-        while active or next_index < len(faults):
-            while free and next_index < len(faults):
-                active.append(_start(free.pop(), next_index))
-                next_index += 1
-            for slot in list(active):
-                lane = slot[0]
-                run = slot[2]
-                outputs = slot[3]
-                k = slot[4]
-                cpu = lane.cpu
-                env = lane.environment
-                done = False
-                result = engine.run(cpu, watchdog)
-                run.instructions_executed = cpu.instruction_index
-                if result is StepResult.DETECTED:
-                    run.detection = cpu.detection
-                    run.detected_iteration = k
-                    done = True
-                elif result is not StepResult.YIELD:
-                    run.timed_out = True
-                    held = outputs[-1] if outputs else env.initial_throttle()
-                    while len(outputs) < iterations:
-                        outputs.append(held)
-                    run.final_state_differs = True
-                    done = True
-                else:
-                    outputs.append(env.exchange(cpu.memory.mmio))
-                    if (
-                        early_exit
-                        and hash_state(cpu, env) == reference.hashes[k + 1]
-                    ):
-                        outputs.extend(reference.outputs[k + 1 :])
-                        run.early_exit_iteration = k + 1
-                        run.final_state_differs = False
-                        done = True
-                    elif k + 1 >= iterations:
-                        run.final_state_differs = (
-                            hash_state(cpu, env) != reference.hashes[-1]
-                        )
-                        done = True
-                    else:
-                        slot[4] = k + 1
-                if done:
-                    self._record_metrics(run)
-                    results[slot[1]] = run  # type: ignore[index]
-                    active.remove(slot)
-                    free.append(lane)
-        return results  # type: ignore[return-value]
+        return [self.run_experiment(fault, early_exit) for fault in faults]

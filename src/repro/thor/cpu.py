@@ -20,16 +20,25 @@ are reported as :class:`~repro.thor.edm.DetectionEvent` values.
 Dispatch
 --------
 
-The interpreter has three execution paths with identical observable
-behaviour (and identical access traces, for the two that record):
+:meth:`CPU.run` is the engine every experiment runs on.  With neither a
+recorder nor a trace hook attached it is an inline dispatch loop:
+instruction words are predecoded into flat ``(op, a, b, c)`` entries
+cached in :data:`_ENTRIES`, the hot opcodes execute inline over the
+machine state hoisted into loop locals, cache misses go to
+:func:`_miss_read`/:func:`_miss_write`, and the cold words (privileged
+ops, illegal words, out-of-range register fields) run their predecoded
+handler.  Both tables are keyed by the raw 32-bit word, so a corrupted
+IR always dispatches through the corrupted word's own entry — never a
+stale predecoded one.
 
-* **fast dispatch** (default): instruction words are *predecoded* into
-  per-word handler closures cached in :data:`_PREDECODE`.  A handler
-  carries its operand fields baked in and returns ``None`` (fall through
-  to ``pc + 4``), an ``int`` (branch target), or one of the
-  :data:`_YIELD`/:data:`_HALT` sentinels.  The cache is keyed by the raw
-  32-bit word, so a corrupted IR always dispatches through the corrupted
-  word's own handler — never a stale predecoded entry.
+The per-word handler closures, cached in :data:`_PREDECODE`, carry
+their operand fields baked in and return ``None`` (fall through to
+``pc + 4``), an ``int`` (branch target), or one of the
+:data:`_YIELD`/:data:`_HALT` sentinels.  They serve :meth:`CPU.step`
+(lockstep, the comparator, detail replay, the debugger), the inline
+loop's cold entries and the recording path.  Two more paths have the
+same observable behaviour, and both record the same access traces:
+
 * **recording dispatch**: with an access-trace recorder attached,
   :meth:`CPU.run` wraps each predecoded handler in a per-word recording
   handler built from the :data:`_ACCESSES` table.  It appends the
@@ -39,7 +48,7 @@ behaviour (and identical access traces, for the two that record):
 * **traced dispatch**: the original decode + ``if``/``elif`` chain, which
   reports every access through the recorder's hook methods.  It runs
   every instruction when a trace hook is attached (the profiler; a
-  no-op hook makes it the tests' oracle for the other two paths), and
+  no-op hook makes it the tests' oracle for the other paths), and
   the words the recording handlers cannot express (illegal words,
   out-of-range register fields) while recording.
 
@@ -644,7 +653,14 @@ class CPU:
 
     # -- convenience runners -----------------------------------------------------
     def run(self, max_instructions: int) -> StepResult:
-        """Step until yield/halt/detection or the instruction budget ends."""
+        """Step until yield/halt/detection or the instruction budget ends.
+
+        With a trace hook attached every instruction goes through the
+        traced :meth:`step`; with an access recorder attached,
+        :meth:`_run_recording` runs.  Otherwise the loop below executes
+        the :data:`_ENTRIES` table's hot opcodes inline and hands cold
+        words to their predecoded handlers.
+        """
         if self.trace_hook is not None:
             for _ in range(max_instructions):
                 result = self.step()
@@ -653,51 +669,502 @@ class CPU:
             return StepResult.OK
         if self.recorder is not None:
             return self._run_recording(max_instructions)
-        # Fast inner loop: predecoded dispatch with the per-step flag
-        # checks hoisted out (nothing inside the loop can attach a
-        # recorder or trace hook).
         if self.detection is not None:
             return StepResult.DETECTED
         if self.halted:
             return StepResult.HALTED
         self.last_svc = None
-        predecode_get = _PREDECODE.get
-        build = _predecode
-        fetch = self.memory.fetch_word_cached
+
+        # Machine state, hoisted for the duration of the run.  ``regs``
+        # and the cache line lists are mutated in place, so they need
+        # no write-back; scalars are synced at every exit below.
+        regs = self.regs
+        pc = self.pc
+        psw = self.psw
+        ir = self.ir & _U32
+        mar = self.mar
+        mdr = self.mdr
+        last_sig = self.last_signature
         index = self.instruction_index
+        successors = self.signature_successors
+
+        memory = self.memory
+        cache = self.cache
+        layout = self.layout
+        cache_valid = cache.valid
+        cache_tags = cache.tags
+        cache_data = cache.data
+        miss_read = _miss_read
+        miss_write = _miss_write
+        read_word = memory.read_data_word
+        write_word = memory.write_data_word
+        fetch = memory.fetch_word_cached
+        fc_get = memory.fetch_cache.get
+        hits = 0
+
+        code_base = layout.code_base
+        code_end = code_base + layout.code_size
+        rodata_base = layout.rodata_base
+        rodata_end = rodata_base + layout.rodata_size
+        data_base = layout.data_base
+        data_end = data_base + layout.data_size
+        stack_base = layout.stack_base
+        stack_top = layout.stack_top
+
+        entries_get = _ENTRIES.get
+        build = _build_entry
+        unpack_f = _STRUCT_F.unpack
+        pack_i = _STRUCT_I.pack
+
         try:
             for _ in range(max_instructions):
-                word = self.ir & _U32
-                handler = predecode_get(word)
-                if handler is None:
-                    handler = build(word)
-                r = handler(self)
+                word = ir
+                entry = entries_get(word)
+                if entry is None:
+                    entry = build(word)
+                op = entry[0]
+                if op == _OP_LD:
+                    address = (regs[entry[2]] + entry[3]) & _U32
+                    mar = address
+                    if (
+                        data_base <= address < data_end
+                        or stack_base <= address < stack_top
+                        or rodata_base <= address < rodata_end
+                    ):
+                        line = (address >> 2) & 31
+                        tag = (address >> 7) & 0x7FFFFF
+                        if cache_valid[line] and cache_tags[line] == tag:
+                            hits += 1
+                            value = cache_data[line]
+                        else:
+                            value = miss_read(cache, memory, address, line, tag)
+                    else:
+                        value = read_word(address)
+                    mdr = value
+                    regs[entry[1]] = value
+                elif op == _OP_ST:
+                    address = (regs[entry[2]] + entry[3]) & _U32
+                    value = regs[entry[1]]
+                    mar = address
+                    mdr = value
+                    if (
+                        data_base <= address < data_end
+                        or stack_base <= address < stack_top
+                        or rodata_base <= address < rodata_end
+                    ):
+                        line = (address >> 2) & 31
+                        tag = (address >> 7) & 0x7FFFFF
+                        if cache_valid[line] and cache_tags[line] == tag:
+                            hits += 1
+                            cache_data[line] = value
+                            cache.dirty[line] = 1
+                        else:
+                            miss_write(cache, memory, address, value, line, tag)
+                    else:
+                        write_word(address, value)
+                elif op == _OP_ADDI:
+                    a = regs[entry[2]]
+                    if a & _SIGN:
+                        a -= _TWO32
+                    result = a + entry[3]
+                    if result > _INT_MAX or result < _INT_MIN:
+                        raise_detection(
+                            Mechanism.OVERFLOW_CHECK, "integer add overflow"
+                        )
+                    regs[entry[1]] = result & _U32
+                elif op == _OP_CMP:
+                    au = regs[entry[1]]
+                    bu = regs[entry[2]]
+                    a = au - _TWO32 if au & _SIGN else au
+                    b = bu - _TWO32 if bu & _SIGN else bu
+                    psw &= ~_FLAG_WRITE_MASK
+                    if a == b:
+                        psw |= FLAG_Z
+                    if a < b:
+                        psw |= FLAG_N
+                    if au < bu:
+                        psw |= FLAG_C
+                elif op == _OP_BSET:
+                    if psw & entry[1]:
+                        target = (pc + entry[2]) & _U32
+                        if not code_base <= target < code_end:
+                            raise_detection(
+                                Mechanism.JUMP_ERROR,
+                                f"target {target:#x} outside code",
+                            )
+                        index += 1
+                        pc = target
+                        ir = fc_get(pc, -1)
+                        if ir < 0:
+                            ir = fetch(pc)
+                        continue
+                elif op == _OP_BCLR:
+                    if not psw & entry[1]:
+                        target = (pc + entry[2]) & _U32
+                        if not code_base <= target < code_end:
+                            raise_detection(
+                                Mechanism.JUMP_ERROR,
+                                f"target {target:#x} outside code",
+                            )
+                        index += 1
+                        pc = target
+                        ir = fc_get(pc, -1)
+                        if ir < 0:
+                            ir = fetch(pc)
+                        continue
+                elif op == _OP_FMUL or op == _OP_FADD or op == _OP_FSUB:
+                    a = unpack_f(pack_i(regs[entry[2]]))[0]
+                    if a != a:
+                        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
+                    b = unpack_f(pack_i(regs[entry[3]]))[0]
+                    if b != b:
+                        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
+                    if op == _OP_FMUL:
+                        value = a * b
+                    elif op == _OP_FADD:
+                        value = a + b
+                    else:
+                        value = a - b
+                    regs[entry[1]] = _float_result_bits(
+                        value, abs(a) != _INF and abs(b) != _INF
+                    )
+                elif op == _OP_MOV:
+                    regs[entry[1]] = regs[entry[2]]
+                elif op == _OP_BR:
+                    target = (pc + entry[1]) & _U32
+                    if not code_base <= target < code_end:
+                        raise_detection(
+                            Mechanism.JUMP_ERROR, f"target {target:#x} outside code"
+                        )
+                    index += 1
+                    pc = target
+                    ir = fc_get(pc, -1)
+                    if ir < 0:
+                        ir = fetch(pc)
+                    continue
+                elif op == _OP_SIG:
+                    sig = entry[1]
+                    if not successors:
+                        last_sig = sig
+                    else:
+                        if last_sig is not None:
+                            allowed = successors.get(last_sig)
+                            if allowed is None or sig not in allowed:
+                                raise_detection(
+                                    Mechanism.CONTROL_FLOW_ERROR,
+                                    f"signature {last_sig} -> {sig}",
+                                )
+                        last_sig = sig
+                elif op == _OP_ADD or op == _OP_SUB:
+                    a = regs[entry[2]]
+                    if a & _SIGN:
+                        a -= _TWO32
+                    b = regs[entry[3]]
+                    if b & _SIGN:
+                        b -= _TWO32
+                    result = a + b if op == _OP_ADD else a - b
+                    if result > _INT_MAX or result < _INT_MIN:
+                        raise_detection(
+                            Mechanism.OVERFLOW_CHECK,
+                            "integer add overflow"
+                            if op == _OP_ADD
+                            else "integer sub overflow",
+                        )
+                    regs[entry[1]] = result & _U32
+                elif op == _OP_FDIV:
+                    a = unpack_f(pack_i(regs[entry[2]]))[0]
+                    if a != a:
+                        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
+                    b = unpack_f(pack_i(regs[entry[3]]))[0]
+                    if b != b:
+                        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
+                    finite = abs(a) != _INF and abs(b) != _INF
+                    if b == 0.0:
+                        raise_detection(
+                            Mechanism.DIVISION_CHECK, "float divide by zero"
+                        )
+                    regs[entry[1]] = _float_result_bits(a / b, finite)
+                elif op == _OP_FCMP:
+                    a = unpack_f(pack_i(regs[entry[1]]))[0]
+                    b = unpack_f(pack_i(regs[entry[2]]))[0]
+                    psw &= ~_FLAG_WRITE_MASK
+                    if a != a or b != b:
+                        psw |= FLAG_V
+                    else:
+                        if a == b:
+                            psw |= FLAG_Z
+                        if a < b:
+                            psw |= FLAG_N
+                elif op == _OP_PUSH:
+                    sp = (regs[_SP] - WORD) & _U32
+                    if sp % WORD or not stack_base <= sp <= stack_top:
+                        raise_detection(
+                            Mechanism.STORAGE_ERROR, f"sp {sp:#x} outside stack"
+                        )
+                    value = regs[entry[1]]
+                    mar = sp
+                    mdr = value
+                    if (
+                        data_base <= sp < data_end
+                        or stack_base <= sp < stack_top
+                        or rodata_base <= sp < rodata_end
+                    ):
+                        line = (sp >> 2) & 31
+                        tag = (sp >> 7) & 0x7FFFFF
+                        if cache_valid[line] and cache_tags[line] == tag:
+                            hits += 1
+                            cache_data[line] = value
+                            cache.dirty[line] = 1
+                        else:
+                            miss_write(cache, memory, sp, value, line, tag)
+                    else:
+                        write_word(sp, value)
+                    regs[_SP] = sp
+                elif op == _OP_POP:
+                    sp = regs[_SP]
+                    if sp % WORD or not stack_base <= sp <= stack_top:
+                        raise_detection(
+                            Mechanism.STORAGE_ERROR, f"sp {sp:#x} outside stack"
+                        )
+                    if sp >= stack_top:
+                        raise_detection(
+                            Mechanism.STORAGE_ERROR, "pop from empty stack"
+                        )
+                    mar = sp
+                    line = (sp >> 2) & 31
+                    tag = (sp >> 7) & 0x7FFFFF
+                    if cache_valid[line] and cache_tags[line] == tag:
+                        hits += 1
+                        value = cache_data[line]
+                    else:
+                        value = miss_read(cache, memory, sp, line, tag)
+                    mdr = value
+                    regs[entry[1]] = value
+                    regs[_SP] = (sp + WORD) & _U32
+                elif op == _OP_CALL:
+                    sp = (regs[_SP] - WORD) & _U32
+                    if sp % WORD or not stack_base <= sp <= stack_top:
+                        raise_detection(
+                            Mechanism.STORAGE_ERROR, f"sp {sp:#x} outside stack"
+                        )
+                    value = (pc + WORD) & _U32
+                    mar = sp
+                    mdr = value
+                    if (
+                        data_base <= sp < data_end
+                        or stack_base <= sp < stack_top
+                        or rodata_base <= sp < rodata_end
+                    ):
+                        line = (sp >> 2) & 31
+                        tag = (sp >> 7) & 0x7FFFFF
+                        if cache_valid[line] and cache_tags[line] == tag:
+                            hits += 1
+                            cache_data[line] = value
+                            cache.dirty[line] = 1
+                        else:
+                            miss_write(cache, memory, sp, value, line, tag)
+                    else:
+                        write_word(sp, value)
+                    regs[_SP] = sp
+                    target = (pc + entry[1]) & _U32
+                    if not code_base <= target < code_end:
+                        raise_detection(
+                            Mechanism.JUMP_ERROR, f"target {target:#x} outside code"
+                        )
+                    index += 1
+                    pc = target
+                    ir = fc_get(pc, -1)
+                    if ir < 0:
+                        ir = fetch(pc)
+                    continue
+                elif op == _OP_RET:
+                    sp = regs[_SP]
+                    if sp % WORD or not stack_base <= sp <= stack_top:
+                        raise_detection(
+                            Mechanism.STORAGE_ERROR, f"sp {sp:#x} outside stack"
+                        )
+                    if sp >= stack_top:
+                        raise_detection(
+                            Mechanism.STORAGE_ERROR, "return with empty stack"
+                        )
+                    mar = sp
+                    line = (sp >> 2) & 31
+                    tag = (sp >> 7) & 0x7FFFFF
+                    if cache_valid[line] and cache_tags[line] == tag:
+                        hits += 1
+                        target = cache_data[line]
+                    else:
+                        target = miss_read(cache, memory, sp, line, tag)
+                    mdr = target
+                    regs[_SP] = (sp + WORD) & _U32
+                    if not code_base <= target < code_end:
+                        raise_detection(
+                            Mechanism.JUMP_ERROR, f"target {target:#x} outside code"
+                        )
+                    index += 1
+                    pc = target
+                    ir = fc_get(pc, -1)
+                    if ir < 0:
+                        ir = fetch(pc)
+                    continue
+                elif op == _OP_LDI or op == _OP_LUI:
+                    regs[entry[1]] = entry[2]
+                elif op == _OP_ORI:
+                    regs[entry[1]] |= entry[2]
+                elif op == _OP_MUL:
+                    a = regs[entry[2]]
+                    if a & _SIGN:
+                        a -= _TWO32
+                    b = regs[entry[3]]
+                    if b & _SIGN:
+                        b -= _TWO32
+                    result = a * b
+                    if result > _INT_MAX or result < _INT_MIN:
+                        raise_detection(
+                            Mechanism.OVERFLOW_CHECK, "integer mul overflow"
+                        )
+                    regs[entry[1]] = result & _U32
+                elif op == _OP_DIV:
+                    a = regs[entry[2]]
+                    if a & _SIGN:
+                        a -= _TWO32
+                    b = regs[entry[3]]
+                    if b & _SIGN:
+                        b -= _TWO32
+                    if b == 0:
+                        raise_detection(
+                            Mechanism.DIVISION_CHECK, "integer divide by zero"
+                        )
+                    result = int(a / b)  # truncating division
+                    if result > _INT_MAX or result < _INT_MIN:
+                        raise_detection(
+                            Mechanism.OVERFLOW_CHECK, "integer div overflow"
+                        )
+                    regs[entry[1]] = result & _U32
+                elif op == _OP_AND:
+                    regs[entry[1]] = regs[entry[2]] & regs[entry[3]]
+                elif op == _OP_OR:
+                    regs[entry[1]] = regs[entry[2]] | regs[entry[3]]
+                elif op == _OP_XOR:
+                    regs[entry[1]] = regs[entry[2]] ^ regs[entry[3]]
+                elif op == _OP_SHL:
+                    regs[entry[1]] = (
+                        regs[entry[2]] << (regs[entry[3]] & 31)
+                    ) & _U32
+                elif op == _OP_SHR:
+                    regs[entry[1]] = regs[entry[2]] >> (regs[entry[3]] & 31)
+                elif op == _OP_ITOF:
+                    a = regs[entry[2]]
+                    if a & _SIGN:
+                        a -= _TWO32
+                    regs[entry[1]] = _float_result_bits(float(a), True)
+                elif op == _OP_FTOI:
+                    value = unpack_f(pack_i(regs[entry[2]]))[0]
+                    if value != value:
+                        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
+                    if not _INT_MIN <= value <= _INT_MAX:
+                        raise_detection(
+                            Mechanism.OVERFLOW_CHECK, "float to int overflow"
+                        )
+                    regs[entry[1]] = int(value) & _U32
+                elif op == _OP_FNEG:
+                    regs[entry[1]] = regs[entry[2]] ^ 0x80000000
+                elif op == _OP_CHK:
+                    low = unpack_f(pack_i(regs[entry[1]]))[0]
+                    value = unpack_f(pack_i(regs[entry[2]]))[0]
+                    high = unpack_f(pack_i(regs[entry[3]]))[0]
+                    if not low <= value <= high:
+                        raise_detection(
+                            Mechanism.CONSTRAINT_ERROR,
+                            f"{value!r} outside [{low!r}, {high!r}]",
+                        )
+                elif op == _OP_JR:
+                    target = regs[entry[1]]
+                    if not code_base <= target < code_end:
+                        raise_detection(
+                            Mechanism.JUMP_ERROR, f"target {target:#x} outside code"
+                        )
+                    index += 1
+                    pc = target
+                    ir = fc_get(pc, -1)
+                    if ir < 0:
+                        ir = fetch(pc)
+                    continue
+                elif op == _OP_SVC:
+                    self.last_svc = entry[1]
+                    index += 1
+                    pc = (pc + WORD) & _U32
+                    ir = fc_get(pc, -1)
+                    if ir < 0:
+                        ir = fetch(pc)
+                    result = StepResult.YIELD
+                    break
+                elif op == _OP_NOP:
+                    pass
+                else:  # _OP_GENERIC: delegate to the handler path.
+                    self.pc = pc
+                    self.psw = psw
+                    self.mar = mar
+                    self.mdr = mdr
+                    self.last_signature = last_sig
+                    try:
+                        r = entry[1](self)
+                    finally:
+                        psw = self.psw
+                        mar = self.mar
+                        mdr = self.mdr
+                        last_sig = self.last_signature
+                    index += 1
+                    if r is None:
+                        pc = (pc + WORD) & _U32
+                    elif r.__class__ is int:
+                        pc = r
+                    elif r is _HALT:
+                        # A halted CPU performs no further prefetch.
+                        result = StepResult.HALTED
+                        break
+                    else:  # _YIELD
+                        pc = (pc + WORD) & _U32
+                        ir = fc_get(pc, -1)
+                        if ir < 0:
+                            ir = fetch(pc)
+                        result = StepResult.YIELD
+                        break
+                    ir = fc_get(pc, -1)
+                    if ir < 0:
+                        ir = fetch(pc)
+                    continue
                 index += 1
-                if r is None:
-                    self.pc = (self.pc + WORD) & _U32
-                elif r.__class__ is int:
-                    self.pc = r
-                elif r is _HALT:
-                    self.instruction_index = index
-                    return StepResult.HALTED
-                else:  # _YIELD
-                    self.instruction_index = index
-                    self.pc = (self.pc + WORD) & _U32
-                    self.ir = fetch(self.pc)
-                    return StepResult.YIELD
-                self.ir = fetch(self.pc)
+                pc = (pc + WORD) & _U32
+                ir = fc_get(pc, -1)
+                if ir < 0:
+                    ir = fetch(pc)
+            else:
+                result = StepResult.OK
         except HardwareDetection as event:
-            self.instruction_index = index
+            # Keep the fields, not the exception: its traceback refers
+            # back to this frame, a cycle only the collector would free.
+            detected = (event.mechanism, event.detail)
+            result = StepResult.DETECTED
+        # Every exit (budget end, yield, halt, detection) syncs the
+        # hoisted scalars back before anything can observe them.
+        self.pc = pc
+        self.psw = psw
+        self.ir = ir
+        self.mar = mar
+        self.mdr = mdr
+        self.last_signature = last_sig
+        self.instruction_index = index
+        cache.hits += hits
+        if result is StepResult.DETECTED:
             self.detection = DetectionEvent(
-                mechanism=event.mechanism,
-                pc=self.pc,
+                mechanism=detected[0],
+                pc=pc,
                 instruction_index=index,
-                detail=event.detail,
+                detail=detected[1],
             )
             notify_detection(self.detection)
-            return StepResult.DETECTED
-        self.instruction_index = index
-        return StepResult.OK
+        return result
 
     def _run_recording(self, max_instructions: int) -> StepResult:
         """:meth:`run`'s loop with an access recorder attached: the
@@ -1707,132 +2174,124 @@ def _recording_handler(recorder, word: int):
 
 
 # ---------------------------------------------------------------------------
-# Batched multi-fault execution.
+# Inline dispatch: the entry table of CPU.run.
 #
-# A fault-injection campaign replays the same program under K different
-# corruptions.  The lanes share every immutable artefact — the code
-# image, the decode results, the predecoded dispatch table — and differ
-# only in mutable machine state, so the campaign driver keeps the lanes'
-# register files, PSWs, cache line arrays and RAM images side by side
-# (a structure of arrays: ``regs``/``psw``/``cache.data``/... per lane)
-# and runs each lane's next slice through *one* shared dispatch loop.
-#
-# :class:`BatchEngine` is that loop.  Instead of per-word handler
-# closures it predecodes words into flat ``(op, a, b, c)`` tuples in a
-# table shared by every lane of every engine in the process, and
-# executes the hot opcodes inline with the lane's state hoisted into
-# loop locals: an LD hit is three range compares and two list reads,
-# with none of the closure-call and attribute-lookup overhead of the
-# handler path.  Cold operations (cache misses, un-cached accesses,
-# HALT/SETMODE, words with out-of-range register fields) delegate to
-# the exact code the handler path runs, so observable behaviour —
-# results, flags, detection mechanisms, messages, ordering, counters —
-# is identical to :meth:`CPU.run` instruction for instruction.
+# Instead of calling a per-word handler closure, :meth:`CPU.run`
+# predecodes each word into a flat ``(op, a, b, c)`` tuple in a
+# process-wide table and executes the hot opcodes inline with the
+# machine state hoisted into loop locals: an LD hit is three range
+# compares and two list reads, with none of the closure-call and
+# attribute-lookup overhead of the handler path.  Cold operations (cache
+# misses, un-cached accesses, HALT/WFI/SETMODE, illegal words, words
+# with out-of-range register fields) delegate to the exact code the
+# handler path runs, so observable behaviour — results, flags, detection
+# mechanisms, messages, ordering, counters — is identical to
+# :meth:`CPU.step` instruction for instruction.
 # ---------------------------------------------------------------------------
 
-#: Batch entry op ids, ordered by expected dynamic frequency (the
-#: dispatch chain below tests them in this order).
-_B_GENERIC = 0
-_B_LD = 1
-_B_ST = 2
-_B_ADDI = 3
-_B_CMP = 4
-_B_BSET = 5
-_B_BCLR = 6
-_B_FMUL = 7
-_B_FADD = 8
-_B_MOV = 9
-_B_BR = 10
-_B_SIG = 11
-_B_ADD = 12
-_B_SUB = 13
-_B_FSUB = 14
-_B_FDIV = 15
-_B_FCMP = 16
-_B_PUSH = 17
-_B_POP = 18
-_B_CALL = 19
-_B_RET = 20
-_B_LDI = 21
-_B_LUI = 22
-_B_ORI = 23
-_B_MUL = 24
-_B_DIV = 25
-_B_AND = 26
-_B_OR = 27
-_B_XOR = 28
-_B_SHL = 29
-_B_SHR = 30
-_B_ITOF = 31
-_B_FTOI = 32
-_B_FNEG = 33
-_B_CHK = 34
-_B_JR = 35
-_B_SVC = 36
-_B_NOP = 37
+#: Entry op ids, ordered by expected dynamic frequency (the dispatch
+#: chain in :meth:`CPU.run` tests them in this order).
+_OP_GENERIC = 0
+_OP_LD = 1
+_OP_ST = 2
+_OP_ADDI = 3
+_OP_CMP = 4
+_OP_BSET = 5
+_OP_BCLR = 6
+_OP_FMUL = 7
+_OP_FADD = 8
+_OP_MOV = 9
+_OP_BR = 10
+_OP_SIG = 11
+_OP_ADD = 12
+_OP_SUB = 13
+_OP_FSUB = 14
+_OP_FDIV = 15
+_OP_FCMP = 16
+_OP_PUSH = 17
+_OP_POP = 18
+_OP_CALL = 19
+_OP_RET = 20
+_OP_LDI = 21
+_OP_LUI = 22
+_OP_ORI = 23
+_OP_MUL = 24
+_OP_DIV = 25
+_OP_AND = 26
+_OP_OR = 27
+_OP_XOR = 28
+_OP_SHL = 29
+_OP_SHR = 30
+_OP_ITOF = 31
+_OP_FTOI = 32
+_OP_FNEG = 33
+_OP_CHK = 34
+_OP_JR = 35
+_OP_SVC = 36
+_OP_NOP = 37
 
-#: One predecoded batch entry: ``(op, a, b, c)`` with op-specific
+#: One predecoded entry: ``(op, a, b, c)`` with op-specific
 #: operand meaning; generic entries carry the handler closure in ``a``.
-_BatchEntry = Tuple[int, object, int, int]
+_Entry = Tuple[int, object, int, int]
 
-_BATCH_ENTRIES: Dict[int, _BatchEntry] = {}
+_ENTRIES: Dict[int, _Entry] = {}
 
 
 def _b3(op: int):
     """Entry factory for three-register-field opcodes."""
 
-    def build(i: Instruction) -> _BatchEntry:
+    def build(i: Instruction) -> _Entry:
         return (op, i.rd, i.rs1, i.rs2)
 
     return build
 
 
 def _b_bset(mask: int):
-    def build(i: Instruction) -> _BatchEntry:
-        return (_B_BSET, mask, WORD * i.simm(), 0)
+    def build(i: Instruction) -> _Entry:
+        return (_OP_BSET, mask, WORD * i.simm(), 0)
 
     return build
 
 
 def _b_bclr(mask: int):
-    def build(i: Instruction) -> _BatchEntry:
-        return (_B_BCLR, mask, WORD * i.simm(), 0)
+    def build(i: Instruction) -> _Entry:
+        return (_OP_BCLR, mask, WORD * i.simm(), 0)
 
     return build
 
 
-_BATCH_FACTORIES: Dict[Opcode, Callable[[Instruction], _BatchEntry]] = {
-    Opcode.NOP: lambda i: (_B_NOP, 0, 0, 0),
-    Opcode.SVC: lambda i: (_B_SVC, i.imm, 0, 0),
-    Opcode.SIG: lambda i: (_B_SIG, i.imm, 0, 0),
-    Opcode.LDI: lambda i: (_B_LDI, i.rd, i.simm() & _U32, 0),
-    Opcode.LUI: lambda i: (_B_LUI, i.rd, (i.imm << 16) & _U32, 0),
-    Opcode.ORI: lambda i: (_B_ORI, i.rd, i.imm, 0),
-    Opcode.MOV: lambda i: (_B_MOV, i.rd, i.rs1, 0),
-    Opcode.LD: lambda i: (_B_LD, i.rd, i.rs1, i.simm()),
-    Opcode.ST: lambda i: (_B_ST, i.rd, i.rs1, i.simm()),
-    Opcode.PUSH: lambda i: (_B_PUSH, i.rd, 0, 0),
-    Opcode.POP: lambda i: (_B_POP, i.rd, 0, 0),
-    Opcode.ADD: _b3(_B_ADD),
-    Opcode.SUB: _b3(_B_SUB),
-    Opcode.MUL: _b3(_B_MUL),
-    Opcode.DIV: _b3(_B_DIV),
-    Opcode.AND: _b3(_B_AND),
-    Opcode.OR: _b3(_B_OR),
-    Opcode.XOR: _b3(_B_XOR),
-    Opcode.SHL: _b3(_B_SHL),
-    Opcode.SHR: _b3(_B_SHR),
-    Opcode.ADDI: lambda i: (_B_ADDI, i.rd, i.rs1, i.simm()),
-    Opcode.CMP: lambda i: (_B_CMP, i.rs1, i.rs2, 0),
-    Opcode.FADD: _b3(_B_FADD),
-    Opcode.FSUB: _b3(_B_FSUB),
-    Opcode.FMUL: _b3(_B_FMUL),
-    Opcode.FDIV: _b3(_B_FDIV),
-    Opcode.FCMP: lambda i: (_B_FCMP, i.rs1, i.rs2, 0),
-    Opcode.ITOF: lambda i: (_B_ITOF, i.rd, i.rs1, 0),
-    Opcode.FTOI: lambda i: (_B_FTOI, i.rd, i.rs1, 0),
-    Opcode.FNEG: lambda i: (_B_FNEG, i.rd, i.rs1, 0),
-    Opcode.BR: lambda i: (_B_BR, WORD * i.simm(), 0, 0),
+_ENTRY_FACTORIES: Dict[Opcode, Callable[[Instruction], _Entry]] = {
+    Opcode.NOP: lambda i: (_OP_NOP, 0, 0, 0),
+    Opcode.SVC: lambda i: (_OP_SVC, i.imm, 0, 0),
+    Opcode.SIG: lambda i: (_OP_SIG, i.imm, 0, 0),
+    Opcode.LDI: lambda i: (_OP_LDI, i.rd, i.simm() & _U32, 0),
+    Opcode.LUI: lambda i: (_OP_LUI, i.rd, (i.imm << 16) & _U32, 0),
+    Opcode.ORI: lambda i: (_OP_ORI, i.rd, i.imm, 0),
+    Opcode.MOV: lambda i: (_OP_MOV, i.rd, i.rs1, 0),
+    Opcode.LD: lambda i: (_OP_LD, i.rd, i.rs1, i.simm()),
+    Opcode.ST: lambda i: (_OP_ST, i.rd, i.rs1, i.simm()),
+    Opcode.PUSH: lambda i: (_OP_PUSH, i.rd, 0, 0),
+    Opcode.POP: lambda i: (_OP_POP, i.rd, 0, 0),
+    Opcode.ADD: _b3(_OP_ADD),
+    Opcode.SUB: _b3(_OP_SUB),
+    Opcode.MUL: _b3(_OP_MUL),
+    Opcode.DIV: _b3(_OP_DIV),
+    Opcode.AND: _b3(_OP_AND),
+    Opcode.OR: _b3(_OP_OR),
+    Opcode.XOR: _b3(_OP_XOR),
+    Opcode.SHL: _b3(_OP_SHL),
+    Opcode.SHR: _b3(_OP_SHR),
+    Opcode.ADDI: lambda i: (_OP_ADDI, i.rd, i.rs1, i.simm()),
+    Opcode.CMP: lambda i: (_OP_CMP, i.rs1, i.rs2, 0),
+    Opcode.FADD: _b3(_OP_FADD),
+    Opcode.FSUB: _b3(_OP_FSUB),
+    Opcode.FMUL: _b3(_OP_FMUL),
+    Opcode.FDIV: _b3(_OP_FDIV),
+    Opcode.FCMP: lambda i: (_OP_FCMP, i.rs1, i.rs2, 0),
+    Opcode.ITOF: lambda i: (_OP_ITOF, i.rd, i.rs1, 0),
+    Opcode.FTOI: lambda i: (_OP_FTOI, i.rd, i.rs1, 0),
+    Opcode.FNEG: lambda i: (_OP_FNEG, i.rd, i.rs1, 0),
+    Opcode.BR: lambda i: (_OP_BR, WORD * i.simm(), 0, 0),
     Opcode.BEQ: _b_bset(FLAG_Z),
     Opcode.BNE: _b_bclr(FLAG_Z),
     Opcode.BLT: _b_bset(FLAG_N),
@@ -1840,24 +2299,24 @@ _BATCH_FACTORIES: Dict[Opcode, Callable[[Instruction], _BatchEntry]] = {
     Opcode.BGT: _b_bclr(FLAG_Z | FLAG_N | FLAG_V),
     Opcode.BLE: _b_bset(FLAG_Z | FLAG_N),
     Opcode.BVS: _b_bset(FLAG_V),
-    Opcode.CALL: lambda i: (_B_CALL, WORD * i.simm(), 0, 0),
-    Opcode.RET: lambda i: (_B_RET, 0, 0, 0),
-    Opcode.JR: lambda i: (_B_JR, i.rs1, 0, 0),
-    Opcode.CHK: _b3(_B_CHK),
+    Opcode.CALL: lambda i: (_OP_CALL, WORD * i.simm(), 0, 0),
+    Opcode.RET: lambda i: (_OP_RET, 0, 0, 0),
+    Opcode.JR: lambda i: (_OP_JR, i.rs1, 0, 0),
+    Opcode.CHK: _b3(_OP_CHK),
     # HALT / WFI / SETMODE run once per experiment at most; they stay on
     # the generic path.
 }
 
 
-def _batch_entry(word: int) -> _BatchEntry:
-    """Predecode ``word`` into a batch entry, sharing the process-wide
-    table.  Words the inline arms cannot express exactly (privileged
-    ops, illegal words, out-of-range register fields) get a generic
-    entry around the handler path's own closure."""
+def _build_entry(word: int) -> _Entry:
+    """Predecode ``word`` into an inline-dispatch entry, sharing the
+    process-wide table.  Words the inline arms cannot express exactly
+    (privileged ops, illegal words, out-of-range register fields) get a
+    generic entry around the handler path's own closure."""
     instruction = _decode_cached(word)
-    entry: Optional[_BatchEntry] = None
+    entry: Optional[_Entry] = None
     if instruction is not None:
-        factory = _BATCH_FACTORIES.get(instruction.opcode)
+        factory = _ENTRY_FACTORIES.get(instruction.opcode)
         if factory is not None:
             for name in _FIELDS_USED[instruction.opcode]:
                 if getattr(instruction, name) > SP_INDEX:
@@ -1869,14 +2328,13 @@ def _batch_entry(word: int) -> _BatchEntry:
         handler = _PREDECODE.get(word)
         if handler is None:
             handler = _predecode(word)
-        entry = (_B_GENERIC, handler, 0, 0)
-    if len(_BATCH_ENTRIES) < _PREDECODE_CAP:
-        _BATCH_ENTRIES[word] = entry
+        entry = (_OP_GENERIC, handler, 0, 0)
+    if len(_ENTRIES) < _PREDECODE_CAP:
+        _ENTRIES[word] = entry
     return entry
 
 
-
-def _batch_miss_read(cache, memory, address: int, line: int, tag: int) -> int:
+def _miss_read(cache, memory, address: int, line: int, tag: int) -> int:
     """:meth:`DataCache.read`'s miss path for a known-cacheable address
     with no recorder attached, with the delegated chain's region scans
     and per-call rechecks flattened out.  Mutation order matches the
@@ -1926,7 +2384,7 @@ def _batch_miss_read(cache, memory, address: int, line: int, tag: int) -> int:
     return value
 
 
-def _batch_miss_write(
+def _miss_write(
     cache, memory, address: int, value: int, line: int, tag: int
 ) -> None:
     """:meth:`DataCache.write`'s miss path (write-allocate, no refill)
@@ -1954,547 +2412,3 @@ def _batch_miss_write(
     cache.valid[line] = 1
     cache.data[line] = value & _U32
     cache.dirty[line] = 1
-
-
-class BatchEngine:
-    """One shared dispatch loop for a batch of faulty lanes.
-
-    The engine owns no per-lane state: callers keep K independent
-    :class:`CPU` lanes (plus their caches/memories) and feed each
-    lane's next execution slice through :meth:`run`, which behaves
-    exactly like :meth:`CPU.run` with fast dispatch — same results,
-    same detection events, same cache statistics — but executes hot
-    opcodes inline over the lane's hoisted state arrays instead of
-    calling per-word closures.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self) -> None:
-        #: Word -> entry table, shared process-wide (content-addressed
-        #: by the raw instruction word, so lanes with corrupted IRs
-        #: dispatch through the corrupted word's own entry).
-        self.entries = _BATCH_ENTRIES
-
-    def run(self, cpu: CPU, max_instructions: int) -> StepResult:
-        """Run one lane until yield/halt/detection or budget end."""
-        if cpu.recorder is not None or cpu.trace_hook is not None:
-            # Tracing lanes must observe every access: take the exact
-            # non-batched path.
-            return cpu.run(max_instructions)
-        if cpu.detection is not None:
-            return StepResult.DETECTED
-        if cpu.halted:
-            return StepResult.HALTED
-        cpu.last_svc = None
-
-        # Lane state, hoisted for the duration of the slice.  ``regs``
-        # and the cache line lists are mutated in place, so they need
-        # no write-back; scalars are synced at every exit below.
-        regs = cpu.regs
-        pc = cpu.pc
-        psw = cpu.psw
-        ir = cpu.ir & _U32
-        mar = cpu.mar
-        mdr = cpu.mdr
-        last_sig = cpu.last_signature
-        index = cpu.instruction_index
-        successors = cpu.signature_successors
-
-        memory = cpu.memory
-        cache = cpu.cache
-        layout = cpu.layout
-        cache_valid = cache.valid
-        cache_tags = cache.tags
-        cache_data = cache.data
-        miss_read = _batch_miss_read
-        miss_write = _batch_miss_write
-        read_word = memory.read_data_word
-        write_word = memory.write_data_word
-        fetch = memory.fetch_word_cached
-        fc_get = memory.fetch_cache.get
-        hits = 0
-
-        code_base = layout.code_base
-        code_end = code_base + layout.code_size
-        rodata_base = layout.rodata_base
-        rodata_end = rodata_base + layout.rodata_size
-        data_base = layout.data_base
-        data_end = data_base + layout.data_size
-        stack_base = layout.stack_base
-        stack_top = layout.stack_top
-
-        entries_get = self.entries.get
-        build = _batch_entry
-        unpack_f = _STRUCT_F.unpack
-        pack_i = _STRUCT_I.pack
-
-        try:
-            for _ in range(max_instructions):
-                word = ir
-                entry = entries_get(word)
-                if entry is None:
-                    entry = build(word)
-                op = entry[0]
-                if op == _B_LD:
-                    address = (regs[entry[2]] + entry[3]) & _U32
-                    mar = address
-                    if (
-                        data_base <= address < data_end
-                        or stack_base <= address < stack_top
-                        or rodata_base <= address < rodata_end
-                    ):
-                        line = (address >> 2) & 31
-                        tag = (address >> 7) & 0x7FFFFF
-                        if cache_valid[line] and cache_tags[line] == tag:
-                            hits += 1
-                            value = cache_data[line]
-                        else:
-                            value = miss_read(cache, memory, address, line, tag)
-                    else:
-                        value = read_word(address)
-                    mdr = value
-                    regs[entry[1]] = value
-                elif op == _B_ST:
-                    address = (regs[entry[2]] + entry[3]) & _U32
-                    value = regs[entry[1]]
-                    mar = address
-                    mdr = value
-                    if (
-                        data_base <= address < data_end
-                        or stack_base <= address < stack_top
-                        or rodata_base <= address < rodata_end
-                    ):
-                        line = (address >> 2) & 31
-                        tag = (address >> 7) & 0x7FFFFF
-                        if cache_valid[line] and cache_tags[line] == tag:
-                            hits += 1
-                            cache_data[line] = value
-                            cache.dirty[line] = 1
-                        else:
-                            miss_write(cache, memory, address, value, line, tag)
-                    else:
-                        write_word(address, value)
-                elif op == _B_ADDI:
-                    a = regs[entry[2]]
-                    if a & _SIGN:
-                        a -= _TWO32
-                    result = a + entry[3]
-                    if result > _INT_MAX or result < _INT_MIN:
-                        raise_detection(
-                            Mechanism.OVERFLOW_CHECK, "integer add overflow"
-                        )
-                    regs[entry[1]] = result & _U32
-                elif op == _B_CMP:
-                    au = regs[entry[1]]
-                    bu = regs[entry[2]]
-                    a = au - _TWO32 if au & _SIGN else au
-                    b = bu - _TWO32 if bu & _SIGN else bu
-                    psw &= ~_FLAG_WRITE_MASK
-                    if a == b:
-                        psw |= FLAG_Z
-                    if a < b:
-                        psw |= FLAG_N
-                    if au < bu:
-                        psw |= FLAG_C
-                elif op == _B_BSET:
-                    if psw & entry[1]:
-                        target = (pc + entry[2]) & _U32
-                        if not code_base <= target < code_end:
-                            raise_detection(
-                                Mechanism.JUMP_ERROR,
-                                f"target {target:#x} outside code",
-                            )
-                        index += 1
-                        pc = target
-                        ir = fc_get(pc, -1)
-                        if ir < 0:
-                            ir = fetch(pc)
-                        continue
-                elif op == _B_BCLR:
-                    if not psw & entry[1]:
-                        target = (pc + entry[2]) & _U32
-                        if not code_base <= target < code_end:
-                            raise_detection(
-                                Mechanism.JUMP_ERROR,
-                                f"target {target:#x} outside code",
-                            )
-                        index += 1
-                        pc = target
-                        ir = fc_get(pc, -1)
-                        if ir < 0:
-                            ir = fetch(pc)
-                        continue
-                elif op == _B_FMUL or op == _B_FADD or op == _B_FSUB:
-                    a = unpack_f(pack_i(regs[entry[2]]))[0]
-                    if a != a:
-                        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
-                    b = unpack_f(pack_i(regs[entry[3]]))[0]
-                    if b != b:
-                        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
-                    if op == _B_FMUL:
-                        value = a * b
-                    elif op == _B_FADD:
-                        value = a + b
-                    else:
-                        value = a - b
-                    regs[entry[1]] = _float_result_bits(
-                        value, abs(a) != _INF and abs(b) != _INF
-                    )
-                elif op == _B_MOV:
-                    regs[entry[1]] = regs[entry[2]]
-                elif op == _B_BR:
-                    target = (pc + entry[1]) & _U32
-                    if not code_base <= target < code_end:
-                        raise_detection(
-                            Mechanism.JUMP_ERROR, f"target {target:#x} outside code"
-                        )
-                    index += 1
-                    pc = target
-                    ir = fc_get(pc, -1)
-                    if ir < 0:
-                        ir = fetch(pc)
-                    continue
-                elif op == _B_SIG:
-                    sig = entry[1]
-                    if not successors:
-                        last_sig = sig
-                    else:
-                        if last_sig is not None:
-                            allowed = successors.get(last_sig)
-                            if allowed is None or sig not in allowed:
-                                raise_detection(
-                                    Mechanism.CONTROL_FLOW_ERROR,
-                                    f"signature {last_sig} -> {sig}",
-                                )
-                        last_sig = sig
-                elif op == _B_ADD or op == _B_SUB:
-                    a = regs[entry[2]]
-                    if a & _SIGN:
-                        a -= _TWO32
-                    b = regs[entry[3]]
-                    if b & _SIGN:
-                        b -= _TWO32
-                    result = a + b if op == _B_ADD else a - b
-                    if result > _INT_MAX or result < _INT_MIN:
-                        raise_detection(
-                            Mechanism.OVERFLOW_CHECK,
-                            "integer add overflow"
-                            if op == _B_ADD
-                            else "integer sub overflow",
-                        )
-                    regs[entry[1]] = result & _U32
-                elif op == _B_FDIV:
-                    a = unpack_f(pack_i(regs[entry[2]]))[0]
-                    if a != a:
-                        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
-                    b = unpack_f(pack_i(regs[entry[3]]))[0]
-                    if b != b:
-                        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
-                    finite = abs(a) != _INF and abs(b) != _INF
-                    if b == 0.0:
-                        raise_detection(
-                            Mechanism.DIVISION_CHECK, "float divide by zero"
-                        )
-                    regs[entry[1]] = _float_result_bits(a / b, finite)
-                elif op == _B_FCMP:
-                    a = unpack_f(pack_i(regs[entry[1]]))[0]
-                    b = unpack_f(pack_i(regs[entry[2]]))[0]
-                    psw &= ~_FLAG_WRITE_MASK
-                    if a != a or b != b:
-                        psw |= FLAG_V
-                    else:
-                        if a == b:
-                            psw |= FLAG_Z
-                        if a < b:
-                            psw |= FLAG_N
-                elif op == _B_PUSH:
-                    sp = (regs[_SP] - WORD) & _U32
-                    if sp % WORD or not stack_base <= sp <= stack_top:
-                        raise_detection(
-                            Mechanism.STORAGE_ERROR, f"sp {sp:#x} outside stack"
-                        )
-                    value = regs[entry[1]]
-                    mar = sp
-                    mdr = value
-                    if (
-                        data_base <= sp < data_end
-                        or stack_base <= sp < stack_top
-                        or rodata_base <= sp < rodata_end
-                    ):
-                        line = (sp >> 2) & 31
-                        tag = (sp >> 7) & 0x7FFFFF
-                        if cache_valid[line] and cache_tags[line] == tag:
-                            hits += 1
-                            cache_data[line] = value
-                            cache.dirty[line] = 1
-                        else:
-                            miss_write(cache, memory, sp, value, line, tag)
-                    else:
-                        write_word(sp, value)
-                    regs[_SP] = sp
-                elif op == _B_POP:
-                    sp = regs[_SP]
-                    if sp % WORD or not stack_base <= sp <= stack_top:
-                        raise_detection(
-                            Mechanism.STORAGE_ERROR, f"sp {sp:#x} outside stack"
-                        )
-                    if sp >= stack_top:
-                        raise_detection(
-                            Mechanism.STORAGE_ERROR, "pop from empty stack"
-                        )
-                    mar = sp
-                    line = (sp >> 2) & 31
-                    tag = (sp >> 7) & 0x7FFFFF
-                    if cache_valid[line] and cache_tags[line] == tag:
-                        hits += 1
-                        value = cache_data[line]
-                    else:
-                        value = miss_read(cache, memory, sp, line, tag)
-                    mdr = value
-                    regs[entry[1]] = value
-                    regs[_SP] = (sp + WORD) & _U32
-                elif op == _B_CALL:
-                    sp = (regs[_SP] - WORD) & _U32
-                    if sp % WORD or not stack_base <= sp <= stack_top:
-                        raise_detection(
-                            Mechanism.STORAGE_ERROR, f"sp {sp:#x} outside stack"
-                        )
-                    value = (pc + WORD) & _U32
-                    mar = sp
-                    mdr = value
-                    if (
-                        data_base <= sp < data_end
-                        or stack_base <= sp < stack_top
-                        or rodata_base <= sp < rodata_end
-                    ):
-                        line = (sp >> 2) & 31
-                        tag = (sp >> 7) & 0x7FFFFF
-                        if cache_valid[line] and cache_tags[line] == tag:
-                            hits += 1
-                            cache_data[line] = value
-                            cache.dirty[line] = 1
-                        else:
-                            miss_write(cache, memory, sp, value, line, tag)
-                    else:
-                        write_word(sp, value)
-                    regs[_SP] = sp
-                    target = (pc + entry[1]) & _U32
-                    if not code_base <= target < code_end:
-                        raise_detection(
-                            Mechanism.JUMP_ERROR, f"target {target:#x} outside code"
-                        )
-                    index += 1
-                    pc = target
-                    ir = fc_get(pc, -1)
-                    if ir < 0:
-                        ir = fetch(pc)
-                    continue
-                elif op == _B_RET:
-                    sp = regs[_SP]
-                    if sp % WORD or not stack_base <= sp <= stack_top:
-                        raise_detection(
-                            Mechanism.STORAGE_ERROR, f"sp {sp:#x} outside stack"
-                        )
-                    if sp >= stack_top:
-                        raise_detection(
-                            Mechanism.STORAGE_ERROR, "return with empty stack"
-                        )
-                    mar = sp
-                    line = (sp >> 2) & 31
-                    tag = (sp >> 7) & 0x7FFFFF
-                    if cache_valid[line] and cache_tags[line] == tag:
-                        hits += 1
-                        target = cache_data[line]
-                    else:
-                        target = miss_read(cache, memory, sp, line, tag)
-                    mdr = target
-                    regs[_SP] = (sp + WORD) & _U32
-                    if not code_base <= target < code_end:
-                        raise_detection(
-                            Mechanism.JUMP_ERROR, f"target {target:#x} outside code"
-                        )
-                    index += 1
-                    pc = target
-                    ir = fc_get(pc, -1)
-                    if ir < 0:
-                        ir = fetch(pc)
-                    continue
-                elif op == _B_LDI or op == _B_LUI:
-                    regs[entry[1]] = entry[2]
-                elif op == _B_ORI:
-                    regs[entry[1]] |= entry[2]
-                elif op == _B_MUL:
-                    a = regs[entry[2]]
-                    if a & _SIGN:
-                        a -= _TWO32
-                    b = regs[entry[3]]
-                    if b & _SIGN:
-                        b -= _TWO32
-                    result = a * b
-                    if result > _INT_MAX or result < _INT_MIN:
-                        raise_detection(
-                            Mechanism.OVERFLOW_CHECK, "integer mul overflow"
-                        )
-                    regs[entry[1]] = result & _U32
-                elif op == _B_DIV:
-                    a = regs[entry[2]]
-                    if a & _SIGN:
-                        a -= _TWO32
-                    b = regs[entry[3]]
-                    if b & _SIGN:
-                        b -= _TWO32
-                    if b == 0:
-                        raise_detection(
-                            Mechanism.DIVISION_CHECK, "integer divide by zero"
-                        )
-                    result = int(a / b)  # truncating division
-                    if result > _INT_MAX or result < _INT_MIN:
-                        raise_detection(
-                            Mechanism.OVERFLOW_CHECK, "integer div overflow"
-                        )
-                    regs[entry[1]] = result & _U32
-                elif op == _B_AND:
-                    regs[entry[1]] = regs[entry[2]] & regs[entry[3]]
-                elif op == _B_OR:
-                    regs[entry[1]] = regs[entry[2]] | regs[entry[3]]
-                elif op == _B_XOR:
-                    regs[entry[1]] = regs[entry[2]] ^ regs[entry[3]]
-                elif op == _B_SHL:
-                    regs[entry[1]] = (
-                        regs[entry[2]] << (regs[entry[3]] & 31)
-                    ) & _U32
-                elif op == _B_SHR:
-                    regs[entry[1]] = regs[entry[2]] >> (regs[entry[3]] & 31)
-                elif op == _B_ITOF:
-                    a = regs[entry[2]]
-                    if a & _SIGN:
-                        a -= _TWO32
-                    regs[entry[1]] = _float_result_bits(float(a), True)
-                elif op == _B_FTOI:
-                    value = unpack_f(pack_i(regs[entry[2]]))[0]
-                    if value != value:
-                        raise_detection(Mechanism.ILLEGAL_OPERATION, "NaN operand")
-                    if not _INT_MIN <= value <= _INT_MAX:
-                        raise_detection(
-                            Mechanism.OVERFLOW_CHECK, "float to int overflow"
-                        )
-                    regs[entry[1]] = int(value) & _U32
-                elif op == _B_FNEG:
-                    regs[entry[1]] = regs[entry[2]] ^ 0x80000000
-                elif op == _B_CHK:
-                    low = unpack_f(pack_i(regs[entry[1]]))[0]
-                    value = unpack_f(pack_i(regs[entry[2]]))[0]
-                    high = unpack_f(pack_i(regs[entry[3]]))[0]
-                    if not low <= value <= high:
-                        raise_detection(
-                            Mechanism.CONSTRAINT_ERROR,
-                            f"{value!r} outside [{low!r}, {high!r}]",
-                        )
-                elif op == _B_JR:
-                    target = regs[entry[1]]
-                    if not code_base <= target < code_end:
-                        raise_detection(
-                            Mechanism.JUMP_ERROR, f"target {target:#x} outside code"
-                        )
-                    index += 1
-                    pc = target
-                    ir = fc_get(pc, -1)
-                    if ir < 0:
-                        ir = fetch(pc)
-                    continue
-                elif op == _B_SVC:
-                    cpu.last_svc = entry[1]
-                    index += 1
-                    pc = (pc + WORD) & _U32
-                    ir = fc_get(pc, -1)
-                    if ir < 0:
-                        ir = fetch(pc)
-                    cpu.pc = pc
-                    cpu.psw = psw
-                    cpu.ir = ir
-                    cpu.mar = mar
-                    cpu.mdr = mdr
-                    cpu.last_signature = last_sig
-                    cpu.instruction_index = index
-                    cache.hits += hits
-                    return StepResult.YIELD
-                elif op == _B_NOP:
-                    pass
-                else:  # _B_GENERIC: delegate to the handler path.
-                    cpu.pc = pc
-                    cpu.psw = psw
-                    cpu.mar = mar
-                    cpu.mdr = mdr
-                    cpu.last_signature = last_sig
-                    try:
-                        r = entry[1](cpu)
-                    finally:
-                        psw = cpu.psw
-                        mar = cpu.mar
-                        mdr = cpu.mdr
-                        last_sig = cpu.last_signature
-                    index += 1
-                    if r is None:
-                        pc = (pc + WORD) & _U32
-                    elif r.__class__ is int:
-                        pc = r
-                    elif r is _HALT:
-                        cpu.pc = pc
-                        cpu.psw = psw
-                        cpu.ir = ir
-                        cpu.mar = mar
-                        cpu.mdr = mdr
-                        cpu.last_signature = last_sig
-                        cpu.instruction_index = index
-                        cache.hits += hits
-                        return StepResult.HALTED
-                    else:  # _YIELD
-                        pc = (pc + WORD) & _U32
-                        ir = fc_get(pc, -1)
-                        if ir < 0:
-                            ir = fetch(pc)
-                        cpu.pc = pc
-                        cpu.psw = psw
-                        cpu.ir = ir
-                        cpu.mar = mar
-                        cpu.mdr = mdr
-                        cpu.last_signature = last_sig
-                        cpu.instruction_index = index
-                        cache.hits += hits
-                        return StepResult.YIELD
-                    ir = fc_get(pc, -1)
-                    if ir < 0:
-                        ir = fetch(pc)
-                    continue
-                index += 1
-                pc = (pc + WORD) & _U32
-                ir = fc_get(pc, -1)
-                if ir < 0:
-                    ir = fetch(pc)
-        except HardwareDetection as event:
-            cpu.pc = pc
-            cpu.psw = psw
-            cpu.ir = ir
-            cpu.mar = mar
-            cpu.mdr = mdr
-            cpu.last_signature = last_sig
-            cpu.instruction_index = index
-            cache.hits += hits
-            cpu.detection = DetectionEvent(
-                mechanism=event.mechanism,
-                pc=pc,
-                instruction_index=index,
-                detail=event.detail,
-            )
-            notify_detection(cpu.detection)
-            return StepResult.DETECTED
-        cpu.pc = pc
-        cpu.psw = psw
-        cpu.ir = ir
-        cpu.mar = mar
-        cpu.mdr = mdr
-        cpu.last_signature = last_sig
-        cpu.instruction_index = index
-        cache.hits += hits
-        return StepResult.OK

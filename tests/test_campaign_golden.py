@@ -12,8 +12,8 @@ hashes rebuilt from scratch, a worker-recomputed reference, plan-order
 scheduling), so the fixture pins the outcomes independently of any live
 code.
 
-Every execution path must reproduce every digest: serial, batched,
-parallel and pooled campaigns, pre-runtime campaigns, and the reference
+Every execution path must reproduce every digest: serial, parallel
+and pooled campaigns, pre-runtime campaigns, and the reference
 run and serial campaign through the traced interpreter, which a no-op
 trace hook selects.
 
@@ -156,12 +156,6 @@ def test_serial_campaign_reproduces_golden(golden, workloads, algorithm):
         golden[algorithm]["reference"]
     )
     assert campaign_digests(result) == golden[algorithm]["scifi"]
-
-
-def test_batched_campaign_reproduces_golden(golden, workloads):
-    config = scifi_config("II", workloads["II"], batch_size=4)
-    result = ScifiCampaign(config).run()
-    assert campaign_digests(result) == golden["II"]["scifi"]
 
 
 @pytest.mark.parametrize("algorithm", ["I", "II"])

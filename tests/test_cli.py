@@ -202,13 +202,11 @@ class TestServiceCommands:
             ["submit", "--root", "r", "--algorithm", "II", "--prune"]
         )
         assert args.algorithm == "II" and args.prune
-        args = build_parser().parse_args(["campaign", "--batch-size", "4"])
-        assert args.batch_size == 4
         # Every configuration flag parses identically under both commands.
         flags = [
             "--algorithm", "II", "--faults", "7", "--seed", "3",
             "--iterations", "11", "--partitions", "cache", "--prune",
-            "--collapse", "--batch-size", "4", "--chaos", "{}",
+            "--collapse", "--chaos", "{}",
         ]
         parsed = [
             vars(build_parser().parse_args(command + flags))
@@ -217,6 +215,6 @@ class TestServiceCommands:
         shared = {key for key in parsed[0] if key in parsed[1]} - {"command", "func"}
         assert shared == {
             "algorithm", "faults", "seed", "iterations", "partitions",
-            "prune", "collapse", "batch_size", "chaos",
+            "prune", "collapse", "chaos",
         }
         assert {k: parsed[0][k] for k in shared} == {k: parsed[1][k] for k in shared}

@@ -1,6 +1,6 @@
-"""Equivalence collapse and batched execution: liveness boundaries,
-collapse-class grouping, replay provenance, batch-engine equivalence,
-the schema-v5 database surface and the warm pruning-validation harness."""
+"""Equivalence collapse: liveness boundaries, collapse-class grouping,
+replay provenance, campaign-level equivalence, the schema-v5 database
+surface and the warm pruning-validation harness."""
 
 from __future__ import annotations
 
@@ -200,78 +200,6 @@ class TestReplayEquivalent:
             broken = replace(run, **{flag: True})
             with pytest.raises(CampaignError):
                 replay_equivalent(fault, broken, 0)
-
-
-# -- batched execution ---------------------------------------------------------
-class TestBatchedExecution:
-    @pytest.fixture(scope="class")
-    def live_faults(self, algorithm_i_compiled):
-        target = TargetSystem(
-            workload=algorithm_i_compiled,
-            environment=EngineEnvironment(),
-            iterations=40,
-        )
-        target.run_reference(record_access=True)
-        import numpy as np
-
-        from repro.faults.models import sample_fault_plan
-
-        plan = sample_fault_plan(
-            space=target.scan_chain.location_space(),
-            total_instructions=target.reference.total_instructions,
-            count=40,
-            rng=np.random.default_rng(3),
-        )
-        live = [
-            fault
-            for fault in plan
-            if target.liveness.classify_fault(fault).value == "live"
-        ]
-        assert len(live) >= 8
-        return live[:12]
-
-    def _target(self, workload, batch_size):
-        target = TargetSystem(
-            workload=workload,
-            environment=EngineEnvironment(),
-            iterations=40,
-            batch_size=batch_size,
-        )
-        target.run_reference()
-        return target
-
-    def test_batch_matches_serial_field_for_field(
-        self, algorithm_i_compiled, live_faults
-    ):
-        serial = self._target(algorithm_i_compiled, 1)
-        batched = self._target(algorithm_i_compiled, 4)
-        expected = [serial.run_experiment(f) for f in live_faults]
-        actual = batched.run_experiment_batch(list(live_faults))
-        for want, got in zip(expected, actual):
-            assert got.outputs == want.outputs
-            assert got.detection == want.detection
-            assert got.detected_iteration == want.detected_iteration
-            assert got.final_state_differs == want.final_state_differs
-            assert got.early_exit_iteration == want.early_exit_iteration
-            assert got.timed_out == want.timed_out
-            assert got.instructions_executed == want.instructions_executed
-
-    def test_uncloneable_environment_falls_back_to_serial(
-        self, algorithm_i_compiled, live_faults
-    ):
-        class OpaqueEnvironment(EngineEnvironment):
-            """No factory, not the plain class: lanes cannot clone it."""
-
-        target = TargetSystem(
-            workload=algorithm_i_compiled,
-            environment=OpaqueEnvironment(),
-            iterations=40,
-            batch_size=4,
-        )
-        target.run_reference()
-        runs = target.run_experiment_batch(list(live_faults[:4]))
-        assert len(runs) == 4
-        assert target._lanes_unavailable
 
 
 # -- campaign-level golden equivalence -----------------------------------------

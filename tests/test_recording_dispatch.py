@@ -1,16 +1,24 @@
-"""Differential tests: the predecoded recording loop against the traced chain.
+"""Differential tests: every dispatch path against the traced chain.
 
 With an :class:`AccessRecorder` attached and no trace hook,
 :meth:`CPU.run` executes through per-word recording handlers built from
 ``_ACCESSES``; with a (no-op) trace hook attached it executes through
 the traced decode-and-branch chain, which reports every access through
-the recorder's hook methods.  Each test here runs one instruction from the
-same machine state through both paths and requires the same result, the
-same final machine state and the same per-element access traces.
+the recorder's hook methods.  Each recording test here runs one
+instruction from the same machine state through both paths and requires
+the same result, the same final machine state and the same per-element
+access traces.
+
+With neither attached, :meth:`CPU.run` is the inline dispatch loop that
+runs every experiment and :meth:`CPU.step` calls the predecoded handler
+closure.  The plain tests run every case of the tables below through
+each of them and through the traced chain, and require the same result,
+machine state, detection and cache statistics.
 """
 
 from __future__ import annotations
 
+import gc
 import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -25,8 +33,11 @@ from repro.thor.cpu import (
     FLAG_V,
     FLAG_Z,
     StepResult,
+    _ENTRY_FACTORIES,
     _HANDLER_FACTORIES,
+    _OP_GENERIC,
     _TRACED,
+    _build_entry,
 )
 from repro.thor.isa import Instruction, Opcode, encode
 from repro.thor.memory import WORD, MemoryLayout
@@ -196,7 +207,18 @@ def _register_cases() -> List[Case]:
         ("ADDI", enc(Opcode.ADDI, rd=5, rs1=1, imm=-2), _setup(ints)),
         ("ADD-same-register", enc(Opcode.ADD, rd=1, rs1=1, rs2=1), _setup(ints)),
         ("CMP", enc(Opcode.CMP, rs1=1, rs2=2), _setup(ints, psw=FLAG_M | FLAG_V)),
+        ("CMP-equal", enc(Opcode.CMP, rs1=1, rs2=2), _setup({1: 5, 2: 5})),
+        (
+            "CMP-signed-less",
+            enc(Opcode.CMP, rs1=1, rs2=2),
+            _setup({1: 0xFFFFFFFF, 2: 1}),
+        ),
         ("FCMP", enc(Opcode.FCMP, rs1=1, rs2=2), _setup(floats, psw=FLAG_C)),
+        (
+            "FCMP-equal",
+            enc(Opcode.FCMP, rs1=1, rs2=2),
+            _setup({1: f2b(2.0), 2: f2b(2.0)}),
+        ),
         (
             "FCMP-unordered",
             enc(Opcode.FCMP, rs1=1, rs2=2),
@@ -267,6 +289,14 @@ DETECTING: List[Case] = [
     ("LD-null", enc(Opcode.LD, rd=1, rs1=2), _setup({2: 0})),
     ("ST-dirty-evict-to-bad-tag", enc(Opcode.ST, rd=1, rs1=2), _bad_victim_tag),
     ("BEQ-outside-code", enc(Opcode.BEQ, imm=0x7000), _setup(psw=FLAG_Z)),
+    ("BNE-outside-code", enc(Opcode.BNE, imm=0x7000), _setup()),
+    ("BR-outside-code", enc(Opcode.BR, imm=0x7000), _setup()),
+    ("JR-outside-code", enc(Opcode.JR, rs1=1), _setup({1: DATA})),
+    (
+        "RET-outside-code",
+        enc(Opcode.RET),
+        _setup(sp=STACK_TOP - WORD, memory={STACK_TOP - WORD: DATA}),
+    ),
 ]
 
 
@@ -378,3 +408,66 @@ def test_detection_records_at_most_extra_entries_at_the_detecting_index(
         if key[0] != "registers":
             # Cache and memory hooks fire inside the plain handler.
             assert fast_trace == traced_trace, key
+
+
+ALL_CASES = COMPLETING + TRACED_FALLBACK + DETECTING
+
+
+def _plain(word: int, setup: Callable[[CPU], None], leg: str):
+    """One instruction with no recorder attached: through the inline
+    loop (``run``), the predecoded handler (``step``) or the traced
+    chain (``traced``, selected by a no-op trace hook)."""
+    cpu = CPU(LAYOUT)
+    cpu.load(Program(code=(word,), entry=CODE))
+    setup(cpu)
+    cpu.instruction_index = NOW
+    if leg == "traced":
+        cpu.trace_hook = _trace_nothing
+    result = cpu.step() if leg == "step" else cpu.run(1)
+    return result, cpu
+
+
+@pytest.mark.parametrize("leg", ["run", "step"])
+@pytest.mark.parametrize(
+    "word,setup", [c[1:] for c in ALL_CASES], ids=[c[0] for c in ALL_CASES]
+)
+def test_plain_dispatch_matches_traced_chain(word, setup, leg):
+    result, cpu = _plain(word, setup, leg)
+    expected, oracle = _plain(word, setup, "traced")
+    assert result is expected
+    assert cpu.state_bytes() == oracle.state_bytes()
+    assert cpu.pc == oracle.pc
+    assert cpu.instruction_index == oracle.instruction_index
+    assert cpu.detection == oracle.detection
+    assert cpu.last_svc == oracle.last_svc
+    assert _cache_stats(cpu) == _cache_stats(oracle)
+
+
+def test_plain_cases_reach_the_inline_arms():
+    """Every expressible word in the tables runs inline in
+    :meth:`CPU.run`; the inexpressible ones take a generic entry."""
+    for name, word, _setup_fn in COMPLETING + DETECTING:
+        inline = Opcode(word >> 24) in _ENTRY_FACTORIES
+        assert (_build_entry(word)[0] != _OP_GENERIC) == inline, name
+    for name, word, _setup_fn in TRACED_FALLBACK:
+        assert _build_entry(word)[0] == _OP_GENERIC, name
+
+
+@pytest.mark.parametrize(
+    "word,setup",
+    [c[1:] for c in TRACED_FALLBACK + DETECTING],
+    ids=[c[0] for c in TRACED_FALLBACK + DETECTING],
+)
+def test_detection_in_run_leaves_no_reference_cycle(word, setup):
+    """A detection must not keep the loop's frame alive through the
+    exception's traceback: every faulty experiment ends in one."""
+    cpu = CPU(LAYOUT)
+    cpu.load(Program(code=(word,), entry=CODE))
+    setup(cpu)
+    gc.collect()
+    gc.disable()
+    try:
+        assert cpu.run(1) is StepResult.DETECTED
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

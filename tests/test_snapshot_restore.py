@@ -18,7 +18,7 @@ from repro.faults.models import sample_fault_plan
 from repro.goofi.environment import EngineEnvironment
 from repro.goofi.target import TargetSystem, _hash_state_fresh
 from repro.thor import cache as cache_module
-from repro.thor.cpu import _batch_miss_read, _batch_miss_write
+from repro.thor.cpu import _miss_read, _miss_write
 from repro.thor.memory import MemoryMap
 
 ITERATIONS = 40
@@ -141,9 +141,9 @@ class TestSkipUnchanged:
         base = memory.layout.data_base
         assert self._rewritten(memory, snapshot, lambda: memory.poke(base, 0xCD))
 
-    def test_batch_miss_paths_force_a_rewrite(self):
-        # The batch engine's flattened miss paths write dirty victims
-        # back straight into the region's lists.
+    def test_inline_miss_paths_force_a_rewrite(self):
+        # The inline dispatch loop's flattened miss paths write dirty
+        # victims back straight into the region's lists.
         memory = MemoryMap()
         snapshot = memory.snapshot()
         base = memory.layout.data_base
@@ -158,11 +158,11 @@ class TestSkipUnchanged:
 
         def read_miss() -> None:
             dirty_line()
-            _batch_miss_read(cache, memory, other, index, tag + 1)
+            _miss_read(cache, memory, other, index, tag + 1)
 
         def write_miss() -> None:
             dirty_line()
-            _batch_miss_write(cache, memory, other, 1, index, tag + 1)
+            _miss_write(cache, memory, other, 1, index, tag + 1)
 
         assert self._rewritten(memory, snapshot, read_miss)
         assert self._rewritten(memory, snapshot, write_miss)
